@@ -2,84 +2,69 @@
 aggregate statistics, and emit the data series behind the standard figures.
 
 A drill record is one (manifold, geodesic) pair: the filled and drilled
-volumes plus the geodesic's length and tube radius.  Real census exports
-use the CSV format documented at ``ingest``; a deterministic synthetic
-generator is provided for testing and calibration.
+volumes plus the geodesic's length and tube radius.  A census of records is
+held as one ``Table`` of columns, never as one object per record.  Real
+census exports use the CSV format documented at ``ingest``; a deterministic
+synthetic generator is provided for testing and calibration.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, IngestError
 from . import hypkernel
-from .hypkernel import Factor, TubeData, VolumePair
 from . import surgery
 
 __all__ = [
-    "BoundReport",
     "Curve",
     "DatasetStats",
-    "DrillRecord",
     "FigureSeries",
+    "INPUT_COLUMNS",
     "REPORT_COLUMNS",
+    "Table",
     "evaluate",
     "figure_series",
     "ingest",
     "statistics",
     "synthesize",
     "write_dataset",
+    "write_figure_csv",
     "write_report_csv",
 ]
 
-_CSV_HEADER = "name,v_fill,v_drill,length,radius"
+# the float columns of a drill record, in the order of the dataset CSV
+INPUT_COLUMNS = ("v_fill", "v_drill", "length", "radius")
+
+_CSV_HEADER = ",".join(("name",) + INPUT_COLUMNS)
 
 
-@dataclass(frozen=True)
-class DrillRecord:
-    """One census data point: a named (manifold, geodesic) pair."""
+@dataclass(frozen=True, eq=False)
+class Table:
+    """A census held as columns: ``names`` (an object array of str) and
+    float64 or bool arrays of the same length, looked up by column name.
+    ``evaluate`` adds every bound, ratio and verdict to ``INPUT_COLUMNS``."""
 
-    name: str
-    pair: VolumePair
-    tube: TubeData
+    names: np.ndarray
+    columns: dict[str, np.ndarray]
 
     def __post_init__(self):
-        if not self.name:
-            raise DomainError("DrillRecord: name must be nonempty")
+        if any(len(col) != len(self.names) for col in self.columns.values()):
+            raise ValueError("Table: every column needs one entry per name")
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __getitem__(self, key: str) -> np.ndarray:
+        return self.columns[key]
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Every bound, ratio, and verdict evaluated on one drill record."""
-
-    name: str
-    v_fill: float
-    v_drill: float
-    length: float
-    radius: float
-    b: float
-    c_o: float
-    c_p: float
-    v_est_old: float
-    v_est_perelman: float
-    overshoot_old: float
-    overshoot_perelman: float
-    delta_v: float
-    dv_over_pi_l: float
-    b_over_vdrill: float
-    perelman_ok: bool
-    old_ok: bool
-    bridgeman_ok: bool
-    b_le_vdrill: bool
-    hk_regime: bool
-
-
-# column order of the report CSV (a subset of the BoundReport fields)
+# column order of the report CSV (a subset of the evaluated columns)
 REPORT_COLUMNS = (
     "name",
     "b",
@@ -99,19 +84,18 @@ REPORT_COLUMNS = (
     "hk_regime",
 )
 
-VIOLATION_KEYS = ("perelman", "old", "bridgeman", "b_le_vdrill")
-
 _FLAG_FOR_KEY = {
     "perelman": "perelman_ok",
     "old": "old_ok",
     "bridgeman": "bridgeman_ok",
     "b_le_vdrill": "b_le_vdrill",
 }
+VIOLATION_KEYS = tuple(_FLAG_FOR_KEY)
 
 
 @dataclass(frozen=True)
 class DatasetStats:
-    """Aggregate statistics over a list of bound reports."""
+    """Aggregate statistics over an evaluated table."""
 
     count: int
     mean_ratio: float
@@ -124,11 +108,34 @@ class DatasetStats:
 
 
 # ---------------------------------------------------------------------------
+# CSV
+
+
+# rows converted per write, bounding the memory held by Python values
+_CSV_CHUNK = 8192
+
+
+def _write_csv(path, columns: dict[str, np.ndarray], float_format: str = "%.12g") -> None:
+    """Write equal-length columns under a header of their keys: floats in
+    the %-format ``float_format``, booleans as true/false, the rest by str."""
+    cols = list(columns.values())
+    row_format = ",".join(float_format if c.dtype.kind == "f" else "%s" for c in cols) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(",".join(columns) + "\n")
+        for start in range(0, len(cols[0]), _CSV_CHUNK):
+            cells = [
+                np.where(c, "true", "false").tolist() if c.dtype == bool else c.tolist()
+                for c in (col[start : start + _CSV_CHUNK] for col in cols)
+            ]
+            handle.writelines(row_format % row for row in zip(*cells))
+
+
+# ---------------------------------------------------------------------------
 # Ingest
 
 
-def ingest(path) -> list[DrillRecord]:
-    """Read drill records from a CSV file.
+def ingest(path) -> Table:
+    """Read drill records from a CSV file into a table of ``INPUT_COLUMNS``.
 
     Format: UTF-8, header ``name,v_fill,v_drill,length,radius``, one record
     per line, '#' lines ignored.  Raises IngestError carrying row-numbered
@@ -136,9 +143,9 @@ def ingest(path) -> list[DrillRecord]:
     or empty names, nonpositive length/radius, or v_drill <= v_fill, which
     breaks the strict drilling inequality).
     """
-    records: list[DrillRecord] = []
+    names: dict[str, None] = {}  # insertion-ordered, for fast duplicate checks
+    values = [array("d") for _ in INPUT_COLUMNS]
     diagnostics: list[str] = []
-    seen_names: set[str] = set()
     header_seen = False
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, 1):
@@ -158,16 +165,17 @@ def ingest(path) -> list[DrillRecord]:
                 continue
             name = parts[0]
             try:
-                v_fill, v_drill, length, radius = (float(p) for p in parts[1:])
+                row = [float(p) for p in parts[1:]]
             except ValueError:
                 diagnostics.append(f"line {lineno}: non-numeric field in {line!r}")
                 continue
             if not name:
                 diagnostics.append(f"line {lineno}: empty name")
                 continue
-            if name in seen_names:
+            if name in names:
                 diagnostics.append(f"line {lineno}: duplicate name {name!r}")
                 continue
+            v_fill, v_drill, length, radius = row
             row_problems = []
             if not (math.isfinite(v_fill) and v_fill > 0.0):
                 row_problems.append(f"v_fill ({parts[1]}) must be positive")
@@ -183,151 +191,109 @@ def ingest(path) -> list[DrillRecord]:
             if row_problems:
                 diagnostics.append(f"line {lineno}: " + "; ".join(row_problems))
                 continue
-            seen_names.add(name)
-            records.append(
-                DrillRecord(name, VolumePair(v_fill, v_drill), TubeData(length, radius))
-            )
+            names[name] = None
+            for column, value in zip(values, row):
+                column.append(value)
     if not header_seen:
         raise IngestError(["file has no header line"])
     if diagnostics:
         raise IngestError(diagnostics)
-    return records
+    return Table(
+        np.array(list(names), dtype=object),
+        {key: np.array(column, dtype=np.float64) for key, column in zip(INPUT_COLUMNS, values)},
+    )
 
 
-def write_dataset(records, path) -> None:
-    """Write records in the ingest CSV format.
-
-    Floats are written with repr, so a written file re-ingests to
-    bit-identical values.
-    """
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(_CSV_HEADER + "\n")
-        for rec in records:
-            handle.write(
-                f"{rec.name},{rec.pair.v_fill!r},{rec.pair.v_drill!r},"
-                f"{rec.tube.length!r},{rec.tube.radius!r}\n"
-            )
+def write_dataset(table: Table, path) -> None:
+    """Write the ``INPUT_COLUMNS`` of a table in the ingest CSV format, floats
+    by repr, so a written file re-ingests to bit-identical values."""
+    columns = {"name": table.names, **{key: table[key] for key in INPUT_COLUMNS}}
+    _write_csv(path, columns, float_format="%r")
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 
 
-def _evaluate_one(rec: DrillRecord, tol: float) -> BoundReport:
-    pair, tube = rec.pair, rec.tube
-    b = hypkernel.bound_base_B(pair.v_fill, tube)
-    c_o = hypkernel.factor_co(tube.radius)
-    c_p = hypkernel.factor_cp(tube.radius)
-    v_est_old = c_o * b
-    v_est_perelman = c_p * b
-    delta_v = pair.v_drill - pair.v_fill
-    pi_l = math.pi * tube.length
-    return BoundReport(
-        name=rec.name,
-        v_fill=pair.v_fill,
-        v_drill=pair.v_drill,
-        length=tube.length,
-        radius=tube.radius,
-        b=b,
-        c_o=c_o,
-        c_p=c_p,
-        v_est_old=v_est_old,
-        v_est_perelman=v_est_perelman,
-        overshoot_old=(v_est_old - pair.v_drill) / delta_v,
-        overshoot_perelman=(v_est_perelman - pair.v_drill) / delta_v,
-        delta_v=delta_v,
-        dv_over_pi_l=delta_v / pi_l,
-        b_over_vdrill=b / pair.v_drill,
-        perelman_ok=pair.v_drill <= v_est_perelman * (1.0 + tol),
-        old_ok=pair.v_drill <= v_est_old * (1.0 + tol),
-        bridgeman_ok=delta_v <= pi_l * (1.0 + tol),
-        b_le_vdrill=b <= pair.v_drill * (1.0 + tol),
-        hk_regime=surgery.hodgson_kerckhoff_regime(tube.length, tube.radius),
-    )
+def evaluate(table: Table, tol: float = 0.0) -> Table:
+    """Evaluate every bound on each record of a table of ``INPUT_COLUMNS``,
+    preserving order; the result carries the input columns as well.
 
-
-def _resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        raw = os.environ.get("TUBEVOL_THREADS", "0")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise DomainError(f"TUBEVOL_THREADS must be an integer, got {raw!r}")
-    if threads < 0:
-        raise DomainError("thread count must be >= 0")
-    return threads if threads > 0 else 1  # 0 = auto; serial is optimal here
-
-
-def evaluate(records, threads: int | None = None, tol: float = 0.0) -> list[BoundReport]:
-    """Evaluate every bound on each record, preserving order.
-
-    ``threads`` caps worker parallelism (None reads TUBEVOL_THREADS, 0 means
-    auto).  Evaluation is pure per record, so any split gives identical
-    results.  ``tol`` is a relative slack applied to the inequality
-    verdicts, for data whose volumes were computed at limited precision;
-    the default demands the bounds exactly.
+    ``tol`` is a relative slack applied to the inequality verdicts, for data
+    whose volumes were computed at limited precision; the default demands
+    the bounds exactly.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise DomainError("evaluate: tol must be >= 0")
-    records = list(records)
-    workers = _resolve_threads(threads)
-    if workers <= 1 or len(records) < 2 * workers:
-        return [_evaluate_one(rec, tol) for rec in records]
-    chunk = (len(records) + workers - 1) // workers
-    pieces = [records[i : i + chunk] for i in range(0, len(records), chunk)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(lambda rs: [_evaluate_one(r, tol) for r in rs], pieces)
-    out: list[BoundReport] = []
-    for part in parts:
-        out.extend(part)
-    return out
-
-
-def statistics(reports, bins: int = 40) -> DatasetStats:
-    """Sample mean and standard deviation (n-1 denominator) of the ratio
-    delta_v / (pi L), its histogram over the observed range, violation
-    tallies per inequality, and the (L, R) ranges seen."""
-    reports = list(reports)
-    if not reports:
-        raise ValueError("statistics: empty report list")
-    if bins < 1:
-        raise DomainError("statistics: bins must be >= 1")
-    ratios = np.array([r.dv_over_pi_l for r in reports])
-    counts, edges = np.histogram(ratios, bins=bins)
-    violations = {
-        key: sum(1 for r in reports if not getattr(r, _FLAG_FOR_KEY[key]))
-        for key in VIOLATION_KEYS
-    }
-    lengths = [r.length for r in reports]
-    radii = [r.radius for r in reports]
-    return DatasetStats(
-        count=len(reports),
-        mean_ratio=float(np.mean(ratios)),
-        std_ratio=float(np.std(ratios, ddof=1)) if len(reports) > 1 else 0.0,
-        hist_edges=tuple(edges.tolist()),
-        hist_counts=tuple(int(c) for c in counts),
-        violations=violations,
-        length_range=(min(lengths), max(lengths)),
-        radius_range=(min(radii), max(radii)),
+    v_fill, v_drill, length, radius = (table[key] for key in INPUT_COLUMNS)
+    b, c_o, c_p = hypkernel.drilling_terms(v_fill, length, radius)
+    v_est_old = c_o * b
+    v_est_perelman = c_p * b
+    delta_v = v_drill - v_fill
+    pi_l = math.pi * length
+    slack = 1.0 + tol
+    return Table(
+        table.names,
+        {
+            **table.columns,
+            "b": b,
+            "c_o": c_o,
+            "c_p": c_p,
+            "v_est_old": v_est_old,
+            "v_est_perelman": v_est_perelman,
+            "overshoot_old": (v_est_old - v_drill) / delta_v,
+            "overshoot_perelman": (v_est_perelman - v_drill) / delta_v,
+            "delta_v": delta_v,
+            "dv_over_pi_l": delta_v / pi_l,
+            "b_over_vdrill": b / v_drill,
+            "perelman_ok": v_drill <= v_est_perelman * slack,
+            "old_ok": v_drill <= v_est_old * slack,
+            "bridgeman_ok": delta_v <= pi_l * slack,
+            "b_le_vdrill": b <= v_drill * slack,
+            "hk_regime": surgery.hodgson_kerckhoff_regime(length, radius),
+        },
     )
 
 
-def write_report_csv(reports, path) -> None:
-    """Write one row per record with the standard report columns; floats at
-    12 significant digits, booleans as true/false."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(REPORT_COLUMNS) + "\n")
-        for report in reports:
-            cells = []
-            for col in REPORT_COLUMNS:
-                value = getattr(report, col)
-                if isinstance(value, bool):
-                    cells.append("true" if value else "false")
-                elif isinstance(value, float):
-                    cells.append(f"{value:.12g}")
-                else:
-                    cells.append(str(value))
-            handle.write(",".join(cells) + "\n")
+def _histogram(values: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.histogram`` of ``bins`` equal bins over the range of ``values``;
+    values equal up to rounding, which leave no room for distinct edges, get
+    the unit range numpy gives values that are all equal."""
+    lo, hi = float(values.min()), float(values.max())
+    if not np.all(np.diff(np.linspace(lo, hi, bins + 1)) > 0.0):
+        lo, hi = lo - 0.5, hi + 0.5
+    return np.histogram(values, bins=bins, range=(lo, hi))
+
+
+def statistics(table: Table, bins: int = 40) -> DatasetStats:
+    """Sample mean and standard deviation (n-1 denominator) of the ratio
+    delta_v / (pi L), its histogram over the observed range, violation
+    tallies per inequality, and the (L, R) ranges seen, over an evaluated
+    table."""
+    if not len(table):
+        raise ValueError("statistics: empty table")
+    if bins < 1:
+        raise DomainError("statistics: bins must be >= 1")
+    ratios = table["dv_over_pi_l"]
+    counts, edges = _histogram(ratios, bins)
+    return DatasetStats(
+        count=len(table),
+        mean_ratio=float(np.mean(ratios)),
+        std_ratio=float(np.std(ratios, ddof=1)) if len(table) > 1 else 0.0,
+        hist_edges=tuple(edges.tolist()),
+        hist_counts=tuple(counts.tolist()),
+        violations={
+            key: int(np.count_nonzero(~table[_FLAG_FOR_KEY[key]])) for key in VIOLATION_KEYS
+        },
+        length_range=(float(table["length"].min()), float(table["length"].max())),
+        radius_range=(float(table["radius"].min()), float(table["radius"].max())),
+    )
+
+
+def write_report_csv(table: Table, path) -> None:
+    """Write one row per record of an evaluated table with the standard report
+    columns; floats at 12 significant digits, booleans as true/false."""
+    _write_csv(path, {col: table.names if col == "name" else table[col] for col in REPORT_COLUMNS})
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +303,8 @@ def write_report_csv(reports, path) -> None:
 @dataclass(frozen=True)
 class Curve:
     label: str
-    x: tuple[float, ...]
-    y: tuple[float, ...]
+    x: np.ndarray
+    y: np.ndarray
 
 
 @dataclass
@@ -350,22 +316,22 @@ class FigureSeries:
     name: str
     xlabel: str
     ylabel: str
-    scatter_labels: list[str]
-    scatter_x: list[float]
-    scatter_y: list[float]
+    scatter_labels: np.ndarray
+    scatter_x: np.ndarray
+    scatter_y: np.ndarray
     curves: list[Curve]
-    extra_columns: dict[str, list[float]]
-    hist_edges: list[float] | None = None
-    hist_counts: list[int] | None = None
+    extra_columns: dict[str, np.ndarray]
+    hist_edges: np.ndarray | None = None
+    hist_counts: np.ndarray | None = None
 
 
 def figure_series(
-    reports,
+    table: Table,
     r_range: tuple[float, float] = (0.05, 3.0),
     curve_points: int = 512,
     bins: int = 40,
 ) -> dict[str, FigureSeries]:
-    """Build the five standard figure series from evaluated reports.
+    """Build the five standard figure series from an evaluated table.
 
     * fig_ratio_curve: the ratio of the two estimate factors against R.
     * fig_overshoot / fig_overshoot_zoom: estimate overshoot against R
@@ -374,89 +340,112 @@ def figure_series(
       curves overlaid; bound-satisfying points lie on or above 1/C_P.
     * fig_dv_over_pil: delta_v / (pi L) against L with marginal histogram.
     """
-    reports = list(reports)
-    if not reports:
-        raise ValueError("figure_series: empty report list")
+    if not len(table):
+        raise ValueError("figure_series: empty table")
     lo, hi = r_range
     if not (0.0 < lo < hi and math.isfinite(hi)):
         raise DomainError("figure_series: bad r_range")
     if curve_points < 2:
         raise DomainError("figure_series: curve_points must be >= 2")
-    r_grid = np.linspace(lo, hi, curve_points)
-    co = np.array([hypkernel.factor_co(r) for r in r_grid])
-    cp = np.array([hypkernel.factor_cp(r) for r in r_grid])
-    grid = tuple(r_grid.tolist())
+    grid = np.linspace(lo, hi, curve_points)
+    co, cp = hypkernel.drilling_factors(grid)
 
-    names = [r.name for r in reports]
-    radii = [r.radius for r in reports]
+    names, radius = table.names, table["radius"]
+    overshoot, overshoot_old = table["overshoot_perelman"], table["overshoot_old"]
+    zoom = radius >= 0.6
+    ratios = table["dv_over_pi_l"]
+    counts, edges = _histogram(ratios, bins)
+    overshoot_ylabel = "(V_est - V_drill) / (V_drill - V_fill)"
 
-    out: dict[str, FigureSeries] = {}
-    out["fig_ratio_curve"] = FigureSeries(
-        name="fig_ratio_curve",
-        xlabel="tube radius R",
-        ylabel="C_O / C_P",
-        scatter_labels=[],
-        scatter_x=[],
-        scatter_y=[],
-        curves=[Curve("co_over_cp", grid, tuple((co / cp).tolist()))],
-        extra_columns={},
-    )
-    overshoot = FigureSeries(
-        name="fig_overshoot",
-        xlabel="tube radius R",
-        ylabel="(V_est - V_drill) / (V_drill - V_fill)",
-        scatter_labels=list(names),
-        scatter_x=list(radii),
-        scatter_y=[r.overshoot_perelman for r in reports],
-        curves=[],
-        extra_columns={"overshoot_old": [r.overshoot_old for r in reports]},
-    )
-    out["fig_overshoot"] = overshoot
-    zoom_idx = [i for i, r in enumerate(reports) if r.radius >= 0.6]
-    out["fig_overshoot_zoom"] = FigureSeries(
-        name="fig_overshoot_zoom",
-        xlabel="tube radius R",
-        ylabel=overshoot.ylabel,
-        scatter_labels=[names[i] for i in zoom_idx],
-        scatter_x=[radii[i] for i in zoom_idx],
-        scatter_y=[overshoot.scatter_y[i] for i in zoom_idx],
-        curves=[],
-        extra_columns={
-            "overshoot_old": [overshoot.extra_columns["overshoot_old"][i] for i in zoom_idx]
-        },
-    )
-    out["fig_b_over_vdrill"] = FigureSeries(
-        name="fig_b_over_vdrill",
-        xlabel="tube radius R",
-        ylabel="B / V_drill",
-        scatter_labels=list(names),
-        scatter_x=list(radii),
-        scatter_y=[r.b_over_vdrill for r in reports],
-        curves=[
-            Curve("inv_c_p", grid, tuple((1.0 / cp).tolist())),
-            Curve("inv_c_o", grid, tuple((1.0 / co).tolist())),
-        ],
-        extra_columns={},
-    )
-    ratios = [r.dv_over_pi_l for r in reports]
-    counts, edges = np.histogram(np.array(ratios), bins=bins)
-    out["fig_dv_over_pil"] = FigureSeries(
-        name="fig_dv_over_pil",
-        xlabel="geodesic length L",
-        ylabel="delta_V / (pi L)",
-        scatter_labels=list(names),
-        scatter_x=[r.length for r in reports],
-        scatter_y=ratios,
-        curves=[],
-        extra_columns={},
-        hist_edges=list(edges.tolist()),
-        hist_counts=[int(c) for c in counts],
-    )
-    return out
+    figures = [
+        FigureSeries(
+            name="fig_ratio_curve",
+            xlabel="tube radius R",
+            ylabel="C_O / C_P",
+            scatter_labels=np.empty(0, dtype=object),
+            scatter_x=np.empty(0),
+            scatter_y=np.empty(0),
+            curves=[Curve("co_over_cp", grid, co / cp)],
+            extra_columns={},
+        ),
+        FigureSeries(
+            name="fig_overshoot",
+            xlabel="tube radius R",
+            ylabel=overshoot_ylabel,
+            scatter_labels=names,
+            scatter_x=radius,
+            scatter_y=overshoot,
+            curves=[],
+            extra_columns={"overshoot_old": overshoot_old},
+        ),
+        FigureSeries(
+            name="fig_overshoot_zoom",
+            xlabel="tube radius R",
+            ylabel=overshoot_ylabel,
+            scatter_labels=names[zoom],
+            scatter_x=radius[zoom],
+            scatter_y=overshoot[zoom],
+            curves=[],
+            extra_columns={"overshoot_old": overshoot_old[zoom]},
+        ),
+        FigureSeries(
+            name="fig_b_over_vdrill",
+            xlabel="tube radius R",
+            ylabel="B / V_drill",
+            scatter_labels=names,
+            scatter_x=radius,
+            scatter_y=table["b_over_vdrill"],
+            curves=[Curve("inv_c_p", grid, 1.0 / cp), Curve("inv_c_o", grid, 1.0 / co)],
+            extra_columns={},
+        ),
+        FigureSeries(
+            name="fig_dv_over_pil",
+            xlabel="geodesic length L",
+            ylabel="delta_V / (pi L)",
+            scatter_labels=names,
+            scatter_x=table["length"],
+            scatter_y=ratios,
+            curves=[],
+            extra_columns={},
+            hist_edges=edges,
+            hist_counts=counts,
+        ),
+    ]
+    return {fig.name: fig for fig in figures}
+
+
+def write_figure_csv(fig: FigureSeries, out_dir) -> list[str]:
+    """Write one figure series' CSV files into ``out_dir``; return their paths.
+    ``<name>.csv`` holds the points (name, x, y, extra columns), or the curves
+    of a figure without points; ``<name>_curves.csv`` the curves overlaid on
+    points; ``<name>_hist.csv`` the histogram.  Floats carry 12 digits."""
+    curves = {"x": fig.curves[0].x, **{c.label: c.y for c in fig.curves}} if fig.curves else None
+    files = {}
+    if curves is not None and not len(fig.scatter_x):
+        files[".csv"] = curves
+    else:
+        points = {"name": fig.scatter_labels, "x": fig.scatter_x, "y": fig.scatter_y}
+        files[".csv"] = {**points, **fig.extra_columns}
+        if curves is not None:
+            files["_curves.csv"] = curves
+    if fig.hist_counts is not None:
+        edges, counts = fig.hist_edges, fig.hist_counts
+        files["_hist.csv"] = {"bin_left": edges[:-1], "bin_right": edges[1:], "count": counts}
+    base = os.path.join(out_dir, fig.name)
+    for suffix, columns in files.items():
+        _write_csv(base + suffix, columns)
+    return [base + suffix for suffix in files]
 
 
 # ---------------------------------------------------------------------------
 # Synthetic data
+
+
+def _within_sharp_bound(v_fill, v_drill, length, radius) -> np.ndarray:
+    """Whether v_drill <= C_P * B: ``synthesize``'s acceptance check, through
+    the kernel ``evaluate`` uses, so accepted records never flip."""
+    b, _, c_p = hypkernel.drilling_terms(v_fill, length, radius)
+    return v_drill <= c_p * b
 
 
 def synthesize(
@@ -465,8 +454,8 @@ def synthesize(
     noise_sigma: float = 0.017,
     l_range: tuple[float, float] = (0.3, 2.5),
     r_range: tuple[float, float] = (0.4, 1.6),
-) -> list[DrillRecord]:
-    """Deterministically generate ``n`` drill records.
+) -> Table:
+    """Deterministically generate a table of ``n`` drill records.
 
     Lengths and radii are uniform over their ranges and filled volumes
     uniform over [0.94, 6], rejecting geometry where the embedded tube
@@ -478,6 +467,8 @@ def synthesize(
     """
     if n < 1:
         raise DomainError("synthesize: n must be >= 1")
+    if seed < 0:
+        raise DomainError("synthesize: seed must be >= 0")
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
         raise DomainError("synthesize: noise_sigma must be >= 0")
     for label, (lo, hi) in (("l_range", l_range), ("r_range", r_range)):
@@ -485,10 +476,10 @@ def synthesize(
             raise DomainError(f"synthesize: degenerate {label}")
 
     rng = np.random.default_rng(seed)
-    records: list[DrillRecord] = []
-    index = 0
-    while len(records) < n:
-        m = max(2 * (n - len(records)), 1024)
+    batches = []
+    count = 0
+    while count < n:
+        m = max(2 * (n - count), 1024)
         length = rng.uniform(l_range[0], l_range[1], m)
         radius = rng.uniform(r_range[0], r_range[1], m)
         v_fill = rng.uniform(0.94, 6.0, m)
@@ -500,15 +491,10 @@ def synthesize(
             eps = np.zeros(m)
         fits = np.pi * length * np.sinh(radius) ** 2 <= v_fill
         v_drill = v_fill + np.pi * length * (0.5 + eps)
-        for i in np.flatnonzero(fits):
-            tube = TubeData(float(length[i]), float(radius[i]))
-            vf, vd = float(v_fill[i]), float(v_drill[i])
-            # authoritative check through the same scalar kernel the
-            # verification pipeline uses, so accepted records never flip
-            if vd > hypkernel.drilled_volume_bound(vf, tube, Factor.PERELMAN):
-                continue
-            records.append(DrillRecord(f"synth{index:05d}", VolumePair(vf, vd), tube))
-            index += 1
-            if len(records) == n:
-                break
-    return records
+        accepted = fits & _within_sharp_bound(v_fill, v_drill, length, radius)
+        keep = np.flatnonzero(accepted)[: n - count]
+        batches.append(np.stack([v_fill[keep], v_drill[keep], length[keep], radius[keep]]))
+        count += keep.size
+    values = np.concatenate(batches, axis=1)
+    names = np.array([f"synth{i:05d}" for i in range(n)], dtype=object)
+    return Table(names, dict(zip(INPUT_COLUMNS, values)))

@@ -131,7 +131,7 @@ def _print_summary(stats: census.DatasetStats) -> None:
 
 def _cmd_verify(args) -> int:
     records = census.ingest(args.dataset)
-    if not records:
+    if not len(records):
         print("error: dataset contains no records", file=sys.stderr)
         return 1
     reports = census.evaluate(records, tol=args.tol)
@@ -153,7 +153,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_figures(args) -> int:
     records = census.ingest(args.dataset)
-    if not records:
+    if not len(records):
         print("error: dataset contains no records", file=sys.stderr)
         return 1
     reports = census.evaluate(records)
@@ -166,43 +166,11 @@ def _cmd_figures(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     written = []
     for fig in series.values():
-        base = os.path.join(args.out_dir, fig.name)
-        if fig.scatter_x:
-            with open(base + ".csv", "w", encoding="utf-8", newline="\n") as handle:
-                extra = list(fig.extra_columns)
-                handle.write(",".join(["name", "x", "y"] + extra) + "\n")
-                for i, (label, x, y) in enumerate(
-                    zip(fig.scatter_labels, fig.scatter_x, fig.scatter_y)
-                ):
-                    cells = [label, _fmt(x), _fmt(y)]
-                    cells += [_fmt(fig.extra_columns[col][i]) for col in extra]
-                    handle.write(",".join(cells) + "\n")
-        else:
-            with open(base + ".csv", "w", encoding="utf-8", newline="\n") as handle:
-                curve = fig.curves[0]
-                handle.write(f"x,{curve.label}\n")
-                for x, y in zip(curve.x, curve.y):
-                    handle.write(f"{_fmt(x)},{_fmt(y)}\n")
-        written.append(base + ".csv")
-        if fig.scatter_x and fig.curves:
-            with open(base + "_curves.csv", "w", encoding="utf-8", newline="\n") as handle:
-                handle.write("x," + ",".join(c.label for c in fig.curves) + "\n")
-                for i, x in enumerate(fig.curves[0].x):
-                    handle.write(
-                        ",".join([_fmt(x)] + [_fmt(c.y[i]) for c in fig.curves]) + "\n"
-                    )
-            written.append(base + "_curves.csv")
-        if fig.hist_counts:
-            with open(base + "_hist.csv", "w", encoding="utf-8", newline="\n") as handle:
-                handle.write("bin_left,bin_right,count\n")
-                for count, lo, hi in zip(
-                    fig.hist_counts, fig.hist_edges, fig.hist_edges[1:]
-                ):
-                    handle.write(f"{_fmt(lo)},{_fmt(hi)},{count}\n")
-            written.append(base + "_hist.csv")
-        with open(base + ".svg", "w", encoding="utf-8", newline="\n") as handle:
+        written += census.write_figure_csv(fig, args.out_dir)
+        svg_path = os.path.join(args.out_dir, fig.name + ".svg")
+        with open(svg_path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(svgplot.render_figure(fig))
-        written.append(base + ".svg")
+        written.append(svg_path)
     for path in written:
         print(path)
     return 0
@@ -383,7 +351,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DomainError as exc:
+    except (DomainError, OverflowError, FloatingPointError) as exc:
+        # inputs whose results overflow binary64 are outside the domain too
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
 

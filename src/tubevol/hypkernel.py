@@ -13,6 +13,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 
 __all__ = [
@@ -25,6 +27,8 @@ __all__ = [
     "VolumePair",
     "bound_base_B",
     "drilled_volume_bound",
+    "drilling_factors",
+    "drilling_terms",
     "factor_co",
     "factor_cp",
     "filled_volume_lower_bound",
@@ -227,30 +231,60 @@ def horocusp_volume(t: TubeData) -> float:
 # Drilling estimates
 
 
+# The array kernel below is the only implementation of B, C_O and C_P, so no
+# verdict depends on the path that computed it.  Inputs become contiguous
+# arrays of at least one dimension: numpy rounds sinh, cosh and powers
+# differently on 0-d or non-contiguous input.  Overflow and division by zero
+# raise FloatingPointError rather than yield inf or nan.  No domain checks.
+
+
+def drilling_factors(radius) -> tuple[np.ndarray, np.ndarray]:
+    """C_O = (coth R coth 2R)^(3/2) and C_P = coth(2R)^3 over an array of R."""
+    radius = np.ascontiguousarray(radius, dtype=np.float64)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        tanh_2r = np.tanh(2.0 * radius)
+        return (1.0 / (np.tanh(radius) * tanh_2r)) ** 1.5, (1.0 / tanh_2r) ** 3
+
+
+def drilling_terms(v_fill, length, radius) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """B = v_fill + pi L sinh(R)^2 sech(2R) over broadcast arrays, then C_O
+    and C_P as drilling_factors(radius); with v_fill = 0, B is the tube term."""
+    v_fill, length, radius = (
+        np.ascontiguousarray(x, dtype=np.float64) for x in (v_fill, length, radius)
+    )
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        b = v_fill + np.pi * length * np.sinh(radius) ** 2 / np.cosh(2.0 * radius)
+    return (b, *drilling_factors(radius))
+
+
+def _scalar_terms(v_fill: float, length: float, radius: float) -> tuple[float, float, float]:
+    return tuple(float(terms[0]) for terms in drilling_terms(v_fill, length, radius))
+
+
 def bound_base_B(v_fill: float, t: TubeData) -> float:
     """Base term B = v_fill + pi L sinh(R)^2 sech(2R) of the drilling
     estimates; algebraically equal to v_fill + (pi/2) L tanh(R) tanh(2R)."""
     _require_positive_finite(v_fill, "v_fill")
-    return v_fill + math.pi * t.length * math.sinh(t.radius) ** 2 / math.cosh(2.0 * t.radius)
+    return _scalar_terms(v_fill, t.length, t.radius)[0]
 
 
 def factor_co(radius: float) -> float:
     """Multiplier (coth R coth 2R)^(3/2) of the older drilling estimate."""
     _require_positive_finite(radius, "radius")
-    return (1.0 / (math.tanh(radius) * math.tanh(2.0 * radius))) ** 1.5
+    return float(drilling_factors(radius)[0][0])
 
 
 def factor_cp(radius: float) -> float:
     """Multiplier coth(2R)^3 of the sharper drilling estimate."""
     _require_positive_finite(radius, "radius")
-    return (1.0 / math.tanh(2.0 * radius)) ** 3
+    return float(drilling_factors(radius)[1][0])
 
 
-def _factor_value(radius: float, factor: Factor) -> float:
+def _factor_value(c_o: float, c_p: float, factor: Factor) -> float:
     if factor is Factor.PERELMAN:
-        return factor_cp(radius)
+        return c_p
     if factor is Factor.OLD:
-        return factor_co(radius)
+        return c_o
     raise DomainError(f"unknown factor {factor!r}")
 
 
@@ -260,7 +294,9 @@ def drilled_volume_bound(v_fill: float, t: TubeData, factor: Factor) -> float:
     ``factor`` selects C = coth(2R)^3 (PERELMAN) or (coth R coth 2R)^(3/2)
     (OLD); the former is smaller, hence sharper, for every R.
     """
-    return _factor_value(t.radius, factor) * bound_base_B(v_fill, t)
+    _require_positive_finite(v_fill, "v_fill")
+    b, c_o, c_p = _scalar_terms(v_fill, t.length, t.radius)
+    return _factor_value(c_o, c_p, factor) * b
 
 
 def overshoot_ratio(p: VolumePair, t: TubeData, factor: Factor = Factor.PERELMAN) -> float:
@@ -276,5 +312,5 @@ def filled_volume_lower_bound(
     """Lower bound for the filled volume, inverting the drilled-volume bound:
     v_drill / C(R) - pi L sinh(R)^2 sech(2R).  May be <= 0 (vacuous)."""
     _require_positive_finite(v_drill, "v_drill")
-    correction = math.pi * t.length * math.sinh(t.radius) ** 2 / math.cosh(2.0 * t.radius)
-    return v_drill / _factor_value(t.radius, factor) - correction
+    correction, c_o, c_p = _scalar_terms(0.0, t.length, t.radius)
+    return v_drill / _factor_value(c_o, c_p, factor) - correction

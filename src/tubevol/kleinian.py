@@ -269,7 +269,8 @@ def point_distance(p1: H3Point, p2: H3Point) -> float:
     if not (p1.t > 0.0 and p2.t > 0.0):
         raise DomainError("point_distance: heights must be positive")
     q = (abs(p1.w - p2.w) ** 2 + (p1.t - p2.t) ** 2) / (2.0 * p1.t * p2.t)
-    return math.acosh(1.0 + q)
+    # acosh(1 + q) in a form that keeps its precision for small q
+    return 2.0 * math.asinh(math.sqrt(0.5 * q))
 
 
 @dataclass(frozen=True)

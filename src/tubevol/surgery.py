@@ -129,14 +129,17 @@ def bridgeman_check(p: ConeProfile) -> BridgemanResult:
     return BridgemanResult(monotone, bound_holds, delta_v, pi_l)
 
 
-def hodgson_kerckhoff_regime(length: float, radius: float) -> bool:
+def hodgson_kerckhoff_regime(length, radius):
     """Whether (L, R) lies in the regime L <= 0.16 and R >= 0.66, where the
-    monotone-profile volume bound is known unconditionally."""
-    if not (math.isfinite(length) and length > 0.0):
+    monotone-profile volume bound is known unconditionally.  Floats give a
+    bool, arrays a bool array."""
+    length, radius = np.asarray(length, dtype=np.float64), np.asarray(radius, dtype=np.float64)
+    if not np.all(np.isfinite(length) & (length > 0.0)):
         raise DomainError("hodgson_kerckhoff_regime: length must be positive")
-    if not (math.isfinite(radius) and radius > 0.0):
+    if not np.all(np.isfinite(radius) & (radius > 0.0)):
         raise DomainError("hodgson_kerckhoff_regime: radius must be positive")
-    return length <= 0.16 and radius >= 0.66
+    regime = (length <= 0.16) & (radius >= 0.66)
+    return bool(regime) if regime.ndim == 0 else regime
 
 
 def read_profile(path) -> ConeProfile:

@@ -39,8 +39,11 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
 
 
 def _bounds(values, pad=0.05):
+    if not values:  # a figure with nothing to plot still gets its axes
+        return 0.0, 1.0
     lo, hi = min(values), max(values)
-    if hi == lo:
+    # values equal up to rounding leave no room for tick steps
+    if hi - lo <= 1e-12 * max(abs(lo), abs(hi)):
         lo -= 0.5
         hi += 0.5
     span = hi - lo
@@ -49,14 +52,13 @@ def _bounds(values, pad=0.05):
 
 def render_figure(fig: FigureSeries, width: int = 640, height: int = 440) -> str:
     """Render one figure series to an SVG document string."""
-    xs = list(fig.scatter_x)
-    ys = list(fig.scatter_y)
+    # Python floats: arithmetic on numpy scalars point by point is slow
+    scatter_x, scatter_y = fig.scatter_x.tolist(), fig.scatter_y.tolist()
+    xs, ys = list(scatter_x), list(scatter_y)
     for curve in fig.curves:
-        xs.extend(curve.x)
-        ys.extend(curve.y)
-    if not xs:
-        raise ValueError("render_figure: nothing to draw")
-    hist_w = 90 if fig.hist_counts else 0
+        xs.extend(curve.x.tolist())
+        ys.extend(curve.y.tolist())
+    hist_w = 90 if fig.hist_counts is not None else 0
     plot_w = width - _MARGIN_L - _MARGIN_R - hist_w
     plot_h = height - _MARGIN_T - _MARGIN_B
     x_lo, x_hi = _bounds(xs)
@@ -106,7 +108,9 @@ def render_figure(fig: FigureSeries, width: int = 640, height: int = 440) -> str
     )
     for ci, curve in enumerate(fig.curves):
         color = _CURVE_COLORS[ci % len(_CURVE_COLORS)]
-        points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(curve.x, curve.y))
+        points = " ".join(
+            f"{px(x):.2f},{py(y):.2f}" for x, y in zip(curve.x.tolist(), curve.y.tolist())
+        )
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'
         )
@@ -114,9 +118,9 @@ def render_figure(fig: FigureSeries, width: int = 640, height: int = 440) -> str
             f'<text x="{_MARGIN_L + plot_w - 6}" y="{_MARGIN_T + 14 + 14 * ci}" '
             f'font-size="11" text-anchor="end" fill="{color}">{curve.label}</text>'
         )
-    for x, y in zip(fig.scatter_x, fig.scatter_y):
+    for x, y in zip(scatter_x, scatter_y):
         parts.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="2" fill="#333333"/>')
-    if fig.hist_counts:
+    if fig.hist_counts is not None:
         max_count = max(fig.hist_counts) or 1
         base_x = _MARGIN_L + plot_w + 6
         for count, lo, hi in zip(fig.hist_counts, fig.hist_edges, fig.hist_edges[1:]):

@@ -206,9 +206,9 @@ def test_criterion_8_figure_reproduction():
         assert all(a > b for a, b in zip(ratio, ratio[1:]))
         assert ratio[-1] < 1.01
         fig = figs["fig_b_over_vdrill"]
-        for report, y in zip(reports, fig.scatter_y):
-            if report.perelman_ok:
-                assert y >= 1.0 / factor_cp(report.radius) - 1e-12
+        for radius, ok, y in zip(reports["radius"], reports["perelman_ok"], fig.scatter_y):
+            if ok:
+                assert y >= 1.0 / factor_cp(radius) - 1e-12
 
 
 def test_criterion_9_combinatorial_anchors():

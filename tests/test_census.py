@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubevol import census
 from tubevol.census import (
+    INPUT_COLUMNS,
     REPORT_COLUMNS,
-    DrillRecord,
+    Table,
     evaluate,
     figure_series,
     ingest,
@@ -16,17 +19,37 @@ from tubevol.census import (
     write_report_csv,
 )
 from tubevol.errors import DomainError, IngestError
-from tubevol.hypkernel import Factor, TubeData, VolumePair, drilled_volume_bound, factor_cp
+from tubevol.hypkernel import Factor, TubeData, drilled_volume_bound, factor_cp
 
 HALF_LN3 = 0.5 * math.log(3.0)
 
 
-def exact_ratio_record(name: str, length: float, ratio: float = 0.5) -> DrillRecord:
-    """Record whose recovered delta_v / (pi L) is the given ratio to within
+def table(*rows) -> Table:
+    """Table of (name, v_fill, v_drill, length, radius) rows."""
+    values = np.array([row[1:] for row in rows], dtype=np.float64).reshape(-1, 4)
+    names = np.array([row[0] for row in rows], dtype=object)
+    return Table(names, {key: values[:, i].copy() for i, key in enumerate(INPUT_COLUMNS)})
+
+
+def take(tab: Table, index) -> Table:
+    """The rows of ``tab`` picked by ``index`` (a mask, a slice or positions)."""
+    return Table(tab.names[index], {key: col[index] for key, col in tab.columns.items()})
+
+
+def tables_equal(a: Table, b: Table) -> bool:
+    return (
+        a.names.tolist() == b.names.tolist()
+        and a.columns.keys() == b.columns.keys()
+        and all(np.array_equal(a[key], b[key]) for key in a.columns)
+    )
+
+
+def exact_ratio_record(name: str, length: float, ratio: float = 0.5) -> tuple:
+    """Row whose recovered delta_v / (pi L) is the given ratio to within
     one rounding; exactly the ratio when it is 0.5, since then both the
     halving and the doubling below are exact."""
     delta = ratio * (math.pi * length)
-    return DrillRecord(name, VolumePair(delta, 2.0 * delta), TubeData(length, 1.0))
+    return (name, delta, 2.0 * delta, length, 1.0)
 
 
 class TestIngest:
@@ -38,10 +61,10 @@ class TestIngest:
     def test_fixture_loads(self, data_dir):
         records = ingest(data_dir / "sample20.csv")
         assert len(records) == 20
-        assert len({r.name for r in records}) == 20
+        assert len(set(records.names)) == 20
 
     def test_empty_file(self, tmp_path):
-        assert ingest(self.write(tmp_path, "")) == []
+        assert len(ingest(self.write(tmp_path, ""))) == 0
 
     def test_comments_ignored(self, tmp_path):
         path = self.write(tmp_path, "# comment\nm1,1.0,2.0,0.5,0.7\n\n")
@@ -93,12 +116,7 @@ class TestIngest:
         write_dataset(records, path)
         back = ingest(path)
         assert len(back) == len(records)
-        for a, b in zip(records, back):
-            assert a.name == b.name
-            assert a.pair.v_fill == b.pair.v_fill
-            assert a.pair.v_drill == b.pair.v_drill
-            assert a.tube.length == b.tube.length
-            assert a.tube.radius == b.tube.radius
+        assert tables_equal(back, records)
 
 
 class TestEvaluate:
@@ -106,90 +124,94 @@ class TestEvaluate:
         tube = TubeData(0.8, 0.9)
         v_fill = 2.5
         v_est = drilled_volume_bound(v_fill, tube, Factor.PERELMAN)
-        record = DrillRecord("edge", VolumePair(v_fill, v_est), tube)
-        (report,) = evaluate([record])
-        assert report.perelman_ok
-        assert report.old_ok
-        assert report.overshoot_perelman == 0.0
+        report = evaluate(table(("edge", v_fill, v_est, 0.8, 0.9)))
+        assert report["perelman_ok"][0]
+        assert report["old_ok"][0]
+        assert report["overshoot_perelman"][0] == 0.0
 
     def test_constructed_violation(self):
         tube = TubeData(0.8, 0.5)
         v_fill = 2.5
         v_est = drilled_volume_bound(v_fill, tube, Factor.PERELMAN)
-        record = DrillRecord("bad", VolumePair(v_fill, 1.01 * v_est), tube)
-        (report,) = evaluate([record])
-        assert not report.perelman_ok
-        assert report.old_ok  # the older factor is much larger at this radius
-        assert report.overshoot_perelman < 0.0
+        report = evaluate(table(("bad", v_fill, 1.01 * v_est, 0.8, 0.5)))
+        assert not report["perelman_ok"][0]
+        assert report["old_ok"][0]  # the older factor is much larger at this radius
+        assert report["overshoot_perelman"][0] < 0.0
+
+    @given(
+        v_fill=st.floats(min_value=0.5, max_value=20.0),
+        length=st.floats(min_value=0.01, max_value=5.0),
+        radius=st.floats(min_value=0.05, max_value=3.0),
+        position=st.integers(min_value=0, max_value=16),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_scalar_bound_is_a_boundary_record(self, v_fill, length, radius, position):
+        # the value `estimate` prints as V_est_perelman, put back in as
+        # v_drill, sits exactly on the bound for every path: evaluate (with
+        # the record at any position of a longer column) and synthesize's
+        # acceptance check
+        v_est = drilled_volume_bound(v_fill, TubeData(length, radius), Factor.PERELMAN)
+        rows = [(f"fill{i}", 1.0 + i, 3.0 + i, 0.1 * (i + 1), 0.3 + 0.1 * i) for i in range(16)]
+        rows.insert(position, ("edge", v_fill, v_est, length, radius))
+        report = evaluate(table(*rows))
+        assert report["perelman_ok"][position]
+        assert report["overshoot_perelman"][position] == 0.0
+        assert census._within_sharp_bound(v_fill, v_est, length, radius).all()
 
     def test_old_estimate_dominates(self):
         reports = evaluate(synthesize(200, seed=3))
-        assert all(r.v_est_old >= r.v_est_perelman for r in reports)
-        assert all(r.old_ok for r in reports if r.perelman_ok)
+        assert np.all(reports["v_est_old"] >= reports["v_est_perelman"])
+        assert np.all(reports["old_ok"][reports["perelman_ok"]])
 
     def test_order_preserved(self):
         records = synthesize(50, seed=5)
-        names = [r.name for r in evaluate(records)]
-        assert names == [r.name for r in records]
+        assert evaluate(records).names.tolist() == records.names.tolist()
 
     def test_record_order_does_not_change_reports(self):
         records = synthesize(50, seed=5)
-        by_name = {r.name: r for r in evaluate(records)}
-        shuffled = list(reversed(records))
-        assert {r.name: r for r in evaluate(shuffled)} == by_name
-
-    def test_threads_equivalent(self, monkeypatch):
-        records = synthesize(100, seed=9)
-        serial = evaluate(records, threads=1)
-        threaded = evaluate(records, threads=4)
-        assert serial == threaded
-        monkeypatch.setenv("TUBEVOL_THREADS", "3")
-        assert evaluate(records) == serial
-        monkeypatch.setenv("TUBEVOL_THREADS", "zebra")
-        with pytest.raises(DomainError):
-            evaluate(records)
+        reports = evaluate(records)
+        reversed_reports = evaluate(take(records, slice(None, None, -1)))
+        assert tables_equal(take(reversed_reports, slice(None, None, -1)), reports)
 
     def test_tolerance_slack(self):
         tube = TubeData(0.8, 0.9)
         v_est = drilled_volume_bound(2.5, tube, Factor.PERELMAN)
-        record = DrillRecord("edge", VolumePair(2.5, v_est * (1.0 + 1e-12)), tube)
-        (strict,) = evaluate([record])
-        assert not strict.perelman_ok
-        (relaxed,) = evaluate([record], tol=1e-9)
-        assert relaxed.perelman_ok
+        record = table(("edge", 2.5, v_est * (1.0 + 1e-12), 0.8, 0.9))
+        assert not evaluate(record)["perelman_ok"][0]
+        assert evaluate(record, tol=1e-9)["perelman_ok"][0]
         with pytest.raises(DomainError):
-            evaluate([record], tol=-1e-9)
+            evaluate(record, tol=-1e-9)
 
     def test_report_fields_consistent(self):
         records = synthesize(20, seed=13)
-        for record, report in zip(records, evaluate(records)):
-            assert report.delta_v == record.pair.v_drill - record.pair.v_fill
-            assert report.b_over_vdrill == report.b / record.pair.v_drill
-            assert report.hk_regime == (
-                record.tube.length <= 0.16 and record.tube.radius >= 0.66
-            )
+        reports = evaluate(records)
+        for i in range(len(records)):
+            v_fill, v_drill, length, radius = (float(records[key][i]) for key in INPUT_COLUMNS)
+            assert reports["delta_v"][i] == v_drill - v_fill
+            assert reports["b_over_vdrill"][i] == reports["b"][i] / v_drill
+            assert reports["hk_regime"][i] == (length <= 0.16 and radius >= 0.66)
 
 
 class TestStatistics:
     def test_exact_half_ratios(self):
         reports = evaluate(
-            [exact_ratio_record(f"m{i}", length) for i, length in enumerate((0.25, 0.5, 1.25))]
+            table(*(exact_ratio_record(f"m{i}", length) for i, length in enumerate((0.25, 0.5, 1.25))))
         )
-        assert all(r.dv_over_pi_l == 0.5 for r in reports)
+        assert np.all(reports["dv_over_pi_l"] == 0.5)
         stats = statistics(reports)
         assert stats.mean_ratio == 0.5
         assert stats.std_ratio == 0.0
 
     def test_two_record_hand_value(self):
         reports = evaluate(
-            [exact_ratio_record("m1", 0.5, 0.4), exact_ratio_record("m2", 0.5, 0.6)]
+            table(exact_ratio_record("m1", 0.5, 0.4), exact_ratio_record("m2", 0.5, 0.6))
         )
         stats = statistics(reports)
         assert stats.mean_ratio == pytest.approx(0.5, abs=1e-14)
         assert stats.std_ratio == pytest.approx(math.sqrt(0.02), rel=1e-12)
 
     def test_single_record(self):
-        stats = statistics(evaluate([exact_ratio_record("m", 0.5)]))
+        stats = statistics(evaluate(table(exact_ratio_record("m", 0.5))))
         assert stats.count == 1
         assert stats.std_ratio == 0.0
 
@@ -200,18 +222,25 @@ class TestStatistics:
         assert len(stats.hist_edges) == 18
         assert sum(stats.hist_counts) == stats.count == 500
 
+    def test_histogram_of_ratios_equal_to_rounding(self):
+        # both ratios are 1/pi up to rounding: no room for 40 distinct bins
+        reports = evaluate(table(("a", 2.0, 2.5, 0.5, 0.5), ("b", 3.0, 3.6, 0.6, 0.45)))
+        stats = statistics(reports)
+        assert sum(stats.hist_counts) == 2
+        assert all(lo < hi for lo, hi in zip(stats.hist_edges, stats.hist_edges[1:]))
+        fig = figure_series(reports)["fig_dv_over_pil"]
+        assert fig.hist_counts.tolist() == list(stats.hist_counts)
+
     def test_violation_tallies(self):
         tube = TubeData(0.8, 0.5)
         v_est = drilled_volume_bound(2.5, tube, Factor.PERELMAN)
-        good = DrillRecord("good", VolumePair(2.5, 0.99 * v_est), tube)
-        bad = DrillRecord("bad", VolumePair(2.5, 1.01 * v_est), tube)
-        reports = evaluate([good, bad])
+        reports = evaluate(
+            table(("good", 2.5, 0.99 * v_est, 0.8, 0.5), ("bad", 2.5, 1.01 * v_est, 0.8, 0.5))
+        )
         stats = statistics(reports)
         assert stats.violations["perelman"] == 1
         assert stats.violations["old"] == 0
-        assert stats.violations["perelman"] == sum(
-            1 for r in reports if not r.perelman_ok
-        )
+        assert stats.violations["perelman"] == np.count_nonzero(~reports["perelman_ok"])
 
     def test_ranges(self):
         reports = evaluate(synthesize(100, seed=2))
@@ -223,7 +252,7 @@ class TestStatistics:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            statistics([])
+            statistics(evaluate(table()))
 
 
 class TestFigureSeries:
@@ -246,16 +275,16 @@ class TestFigureSeries:
         reports = evaluate(synthesize(400, seed=8))
         figs = figure_series(reports)
         fig = figs["fig_b_over_vdrill"]
-        for report, y in zip(reports, fig.scatter_y):
-            if report.perelman_ok:
-                assert y >= 1.0 / factor_cp(report.radius) - 1e-12
+        for radius, ok, y in zip(reports["radius"], reports["perelman_ok"], fig.scatter_y):
+            if ok:
+                assert y >= 1.0 / factor_cp(radius) - 1e-12
 
     def test_zoom_filters_radius(self):
         reports = evaluate(synthesize(300, seed=6))
         figs = figure_series(reports)
         zoom = figs["fig_overshoot_zoom"]
         assert all(r >= 0.6 for r in zoom.scatter_x)
-        expected = sum(1 for r in reports if r.radius >= 0.6)
+        expected = sum(1 for r in reports["radius"] if r >= 0.6)
         assert len(zoom.scatter_x) == expected
 
     def test_histogram_attached(self):
@@ -263,16 +292,16 @@ class TestFigureSeries:
         fig = figure_series(reports, bins=12)["fig_dv_over_pil"]
         assert sum(fig.hist_counts) == 200
         assert len(fig.hist_edges) == 13
-        assert fig.scatter_labels[0] == reports[0].name
+        assert fig.scatter_labels[0] == reports.names[0]
 
     def test_names_carried(self):
         reports = evaluate(synthesize(5, seed=1))
         figs = figure_series(reports)
-        assert figs["fig_overshoot"].scatter_labels == [r.name for r in reports]
+        assert figs["fig_overshoot"].scatter_labels.tolist() == reports.names.tolist()
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            figure_series([])
+            figure_series(evaluate(table()))
 
     def test_bad_range(self):
         reports = evaluate(synthesize(5, seed=1))
@@ -282,33 +311,33 @@ class TestFigureSeries:
 
 class TestSynthesize:
     def test_deterministic(self):
-        assert synthesize(40, seed=123) == synthesize(40, seed=123)
+        assert tables_equal(synthesize(40, seed=123), synthesize(40, seed=123))
 
     def test_seed_matters(self):
-        assert synthesize(40, seed=123) != synthesize(40, seed=124)
+        assert not tables_equal(synthesize(40, seed=123), synthesize(40, seed=124))
 
     def test_noise_zero_ratio_half(self):
         reports = evaluate(synthesize(200, seed=31, noise_sigma=0.0))
         # the stored volume pair rounds once, so the recovered ratio can sit
         # a couple of ulps off the generated 1/2
-        assert all(abs(r.dv_over_pi_l - 0.5) < 5e-15 for r in reports)
+        assert np.all(np.abs(reports["dv_over_pi_l"] - 0.5) < 5e-15)
 
     def test_ranges_respected(self):
         records = synthesize(300, seed=17, l_range=(0.5, 0.9), r_range=(0.45, 0.8))
-        assert all(0.5 <= r.tube.length <= 0.9 for r in records)
-        assert all(0.45 <= r.tube.radius <= 0.8 for r in records)
-        assert all(0.94 <= r.pair.v_fill <= 6.0 for r in records)
+        assert np.all((0.5 <= records["length"]) & (records["length"] <= 0.9))
+        assert np.all((0.45 <= records["radius"]) & (records["radius"] <= 0.8))
+        assert np.all((0.94 <= records["v_fill"]) & (records["v_fill"] <= 6.0))
 
     def test_always_satisfies_sharp_bound(self):
         reports = evaluate(synthesize(3000, seed=77, noise_sigma=0.02))
-        assert all(r.perelman_ok for r in reports)
+        assert np.all(reports["perelman_ok"])
 
     def test_tube_always_embeds(self):
-        for record in synthesize(300, seed=19):
-            assert (
-                math.pi * record.tube.length * math.sinh(record.tube.radius) ** 2
-                <= record.pair.v_fill
-            )
+        records = synthesize(300, seed=19)
+        for length, radius, v_fill in zip(
+            records["length"].tolist(), records["radius"].tolist(), records["v_fill"].tolist()
+        ):
+            assert math.pi * length * math.sinh(radius) ** 2 <= v_fill
 
     def test_mean_near_half(self):
         stats = statistics(evaluate(synthesize(4000, seed=42)))
@@ -318,7 +347,10 @@ class TestSynthesize:
         n = 25_709
         records = synthesize(n, seed=20240404)
         ratios = [
-            (r.pair.v_drill - r.pair.v_fill) / (math.pi * r.tube.length) for r in records
+            (v_drill - v_fill) / (math.pi * length)
+            for v_fill, v_drill, length in zip(
+                *(records[key].tolist() for key in ("v_fill", "v_drill", "length"))
+            )
         ]
         assert np.mean(ratios) == pytest.approx(0.5, abs=3.0 * 0.017 / math.sqrt(n))
 
@@ -329,6 +361,8 @@ class TestSynthesize:
             synthesize(5, seed=1, noise_sigma=-0.1)
         with pytest.raises(DomainError):
             synthesize(5, seed=1, l_range=(2.0, 1.0))
+        with pytest.raises(DomainError):
+            synthesize(10, seed=-1)
 
 
 class TestReportCsv:
@@ -340,7 +374,7 @@ class TestReportCsv:
         assert lines[0] == ",".join(REPORT_COLUMNS)
         assert len(lines) == 6
         first = lines[1].split(",")
-        assert first[0] == reports[0].name
+        assert first[0] == reports.names[0]
         assert set(first[-5:]) <= {"true", "false"}
         # floats at 12 significant digits
-        assert first[1] == f"{reports[0].b:.12g}"
+        assert first[1] == f"{reports['b'][0]:.12g}"

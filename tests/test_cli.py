@@ -1,5 +1,6 @@
 import math
 import shutil
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -34,6 +35,11 @@ class TestEstimate:
 
     def test_zero_radius_is_domain_error(self, capsys):
         code, _, err = run(capsys, "estimate", "2.0", "1.0", "0")
+        assert code == 2
+        assert "domain error" in err
+
+    def test_overflowing_radius_is_domain_error(self, capsys):
+        code, _, err = run(capsys, "estimate", "2.0", "1.0", "400")
         assert code == 2
         assert "domain error" in err
 
@@ -102,6 +108,16 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(tmp_path / "nope.csv"))
         assert code == 1
 
+    def test_overflowing_radius_is_domain_error(self, capsys, tmp_path):
+        # sinh(R)^2 overflows binary64 for R above about 355; no verdict may
+        # come from the resulting inf or nan
+        dataset = tmp_path / "huge_radius.csv"
+        dataset.write_text("name,v_fill,v_drill,length,radius\nbig,2.0,2.5,0.5,400\n")
+        code, out, err = run(capsys, "verify", str(dataset))
+        assert code == 2
+        assert "domain error" in err
+        assert "violations" not in out
+
     def test_tol_flag_relaxes_verdict(self, capsys, tmp_path, data_dir):
         import tubevol.hypkernel as hk
 
@@ -148,6 +164,38 @@ class TestFigures:
             assert (out_dir / filename).exists(), filename
         header = (out_dir / "fig_b_over_vdrill.csv").read_text().splitlines()[0]
         assert header == "name,x,y"
+
+    def test_no_record_in_zoom_range(self, capsys, tmp_path):
+        # every radius is below 0.6, so the zoom figure has nothing to plot
+        dataset = tmp_path / "small_radii.csv"
+        dataset.write_text(
+            "name,v_fill,v_drill,length,radius\nx1,2.0,2.1,1.0,0.5\nx2,2.0,2.1,1.0,0.55\n"
+        )
+        out_dir = tmp_path / "figs"
+        code, _, err = run(capsys, "figures", str(dataset), str(out_dir))
+        assert code == 0
+        assert "Traceback" not in err
+        zoom = out_dir / "fig_overshoot_zoom.csv"
+        assert zoom.read_text() == "name,x,y,overshoot_old\n"
+        root = ET.parse(out_dir / "fig_overshoot_zoom.svg").getroot()
+        assert not [el for el in root.iter() if el.tag.endswith("circle")]
+
+    def test_ratios_equal_to_rounding(self, capsys, tmp_path):
+        # both dv/(pi L) are 1/pi up to rounding, too close for 40 bins
+        dataset = tmp_path / "flat.csv"
+        dataset.write_text(
+            "name,v_fill,v_drill,length,radius\na,2.0,2.5,0.5,0.5\nb,3.0,3.6,0.6,0.45\n"
+        )
+        code, out, err = run(capsys, "verify", str(dataset))
+        assert code == 0
+        assert "records            2" in out
+        assert "Traceback" not in err
+        out_dir = tmp_path / "figs"
+        code, _, err = run(capsys, "figures", str(dataset), str(out_dir))
+        assert code == 0
+        assert "Traceback" not in err
+        rows = (out_dir / "fig_dv_over_pil_hist.csv").read_text().splitlines()[1:]
+        assert sum(int(row.split(",")[2]) for row in rows) == 2
 
     def test_unwritable_out_dir(self, capsys, tmp_path, data_dir):
         blocker = tmp_path / "blocked"
@@ -249,6 +297,11 @@ class TestSynthesize:
     def test_bad_count(self, capsys, tmp_path):
         code, _, _ = run(capsys, "synthesize", "0", "1", str(tmp_path / "x.csv"))
         assert code == 2
+
+    def test_negative_seed(self, capsys, tmp_path):
+        code, _, err = run(capsys, "synthesize", "10", "-1", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert "domain error" in err
 
 
 class TestBounds:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from tubevol.hypkernel import (
     VolumePair,
     bound_base_B,
     drilled_volume_bound,
+    drilling_terms,
     factor_co,
     factor_cp,
     filled_volume_lower_bound,
@@ -212,6 +214,55 @@ class TestBoundBase:
             0.5 * math.pi * length * math.tanh(radius) * math.tanh(2.0 * radius)
         )
         assert abs(first - second) <= 1e-12 * abs(second)
+
+
+# The scalar math-module formulas the array kernel replaced, kept as its
+# reference.  Each side rounds a few transcendental calls, a reciprocal and
+# a power, so they may differ by several ulps; the tolerance is fixed at
+# 8 ulps of binary64 relative error.
+KERNEL_REL_TOL = 8 * np.finfo(np.float64).eps
+
+
+def reference_b(v_fill, length, radius):
+    return v_fill + math.pi * length * math.sinh(radius) ** 2 / math.cosh(2.0 * radius)
+
+
+def reference_co(radius):
+    return (1.0 / (math.tanh(radius) * math.tanh(2.0 * radius))) ** 1.5
+
+
+def reference_cp(radius):
+    return (1.0 / math.tanh(2.0 * radius)) ** 3
+
+
+class TestKernel:
+    def test_agrees_with_math_reference(self):
+        radius, length = np.meshgrid(np.linspace(0.02, 8.0, 400), np.linspace(1e-3, 50.0, 50))
+        radius, length = radius.ravel(), length.ravel()
+        b, c_o, c_p = drilling_terms(2.5, length, radius)
+        for got, ref in (
+            (b, [reference_b(2.5, l, r) for l, r in zip(length.tolist(), radius.tolist())]),
+            (c_o, [reference_co(r) for r in radius.tolist()]),
+            (c_p, [reference_cp(r) for r in radius.tolist()]),
+        ):
+            np.testing.assert_allclose(got, ref, rtol=KERNEL_REL_TOL, atol=0.0)
+
+    def test_scalar_functions_are_kernel_entries(self):
+        rng = np.random.default_rng(5)
+        v_fill = rng.uniform(0.5, 20.0, 257)
+        length = rng.uniform(0.01, 5.0, 257)
+        radius = rng.uniform(0.05, 4.0, 257)
+        b, c_o, c_p = drilling_terms(v_fill, length, radius)
+        for i in range(257):
+            t = TubeData(float(length[i]), float(radius[i]))
+            assert bound_base_B(float(v_fill[i]), t) == b[i]
+            assert factor_co(t.radius) == c_o[i]
+            assert factor_cp(t.radius) == c_p[i]
+
+    def test_broadcasts_and_keeps_shape(self):
+        b, c_o, c_p = drilling_terms(1.0, 2.0, np.array([0.5, 1.0, 1.5]))
+        assert b.shape == c_o.shape == c_p.shape == (3,)
+        assert drilling_terms(1.0, 2.0, 0.5)[0].shape == (1,)
 
 
 class TestFactors:

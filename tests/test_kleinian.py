@@ -2,7 +2,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tubevol.errors import DomainError, NonLoxodromicError, ParseError
@@ -201,6 +201,8 @@ class TestPointDistance:
         st.tuples(finite_complex, st.floats(min_value=0.1, max_value=5.0)),
         st.tuples(finite_complex, st.floats(min_value=0.1, max_value=5.0)),
     )
+    # p1 and p3 1e-9 apart: acosh(1 + q) rounds their distance to 0
+    @example(t1=(1e-9 + 0j, 1.0), t2=(-1 + 0j, 1.0), t3=(0j, 1.0))
     def test_symmetry_and_triangle(self, t1, t2, t3):
         p1, p2, p3 = (H3Point(w, h) for w, h in (t1, t2, t3))
         d12 = point_distance(p1, p2)
