@@ -188,6 +188,13 @@ def _cmd_tube_radius(args) -> int:
     else:
         print(f"tube radius bound  {_fmt(result.radius)}")
         print(f"witness word       {result.witness}")
+        if result.radius == 0.0:
+            print(
+                f"warning: the image of the core axis under {result.witness} crosses or "
+                "is asymptotic to it, so the group is not discrete or the geodesic "
+                "is not simple",
+                file=sys.stderr,
+            )
     return 0
 
 
@@ -335,15 +342,19 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = _build_parser()
+    # --config is read first, wherever it stands, so that its values can
+    # become the defaults of the full parse
+    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
+    pre.add_argument("--config")
+    known, rest = pre.parse_known_args(argv)
     try:
-        if "--config" in argv:
-            config_path = argv[argv.index("--config") + 1]
-            values = _config_values(config_path)
+        if known.config is not None:
+            values = _config_values(known.config)
             # replace the matching defaults everywhere; explicit flags
             # still win over defaults
             for p in [parser, *subparsers]:
                 p.set_defaults(**values)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(rest)
         return args.handler(args)
     except (ParseError, IngestError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,11 +16,11 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize
 
 from .errors import DomainError, NonLoxodromicError, ParseError
 
@@ -47,6 +47,11 @@ __all__ = [
 
 _CLASSIFY_TOL = 1e-9
 _SAME_LINE_TOL = 1e-9
+# rounding of ad - bc, relative to |ad| + |bc|
+_DET_ROUNDING = 16 * sys.float_info.epsilon
+# a word fixes the core's axis when its matrix in the core's frame is
+# diagonal or anti-diagonal to this tolerance, relative to its largest entry
+_FIXES_AXIS_TOL = 1e-9
 
 
 class _PointAtInfinity:
@@ -96,7 +101,10 @@ def _chordal(p: ExtendedPoint, q: ExtendedPoint) -> float:
 
 @dataclass(frozen=True)
 class MobiusTransform:
-    """2x2 complex matrix, normalized at construction to determinant 1."""
+    """2x2 complex matrix, normalized at construction to determinant 1.
+
+    A matrix whose determinant is 1 up to the rounding of ad - bc is kept
+    as given: dividing by a noisy sqrt(det) would only add error."""
 
     a: complex
     b: complex
@@ -110,18 +118,15 @@ class MobiusTransform:
         det = a * d - b * c
         if det == 0:
             raise DomainError("MobiusTransform: matrix is singular")
-        s = cmath.sqrt(det)
-        a, b, c, d = a / s, b / s, c / s, d / s
-        if abs(a * d - b * c - 1.0) > 1e-10:
-            raise DomainError("MobiusTransform: could not normalize determinant")
+        if abs(det - 1.0) > _DET_ROUNDING * (abs(a * d) + abs(b * c)):
+            s = cmath.sqrt(det)
+            a, b, c, d = a / s, b / s, c / s, d / s
+            if abs(a * d - b * c - 1.0) > _DET_ROUNDING * (abs(a * d) + abs(b * c)):
+                raise DomainError("MobiusTransform: could not normalize determinant")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
-
-    @classmethod
-    def identity(cls) -> "MobiusTransform":
-        return cls(1.0, 0.0, 0.0, 1.0)
 
     def inverse(self) -> "MobiusTransform":
         return MobiusTransform(self.d, -self.b, -self.c, self.a)
@@ -138,13 +143,16 @@ class MobiusTransform:
         return self.a + self.d
 
     def apply(self, p: ExtendedPoint) -> ExtendedPoint:
-        """Fractional linear action on the extended complex plane."""
+        """Fractional linear action on the extended complex plane; a
+        quotient that overflows is INFINITY."""
         if is_infinity(p):
-            return INFINITY if self.c == 0 else self.a / self.c
-        den = self.c * p + self.d
+            num, den = self.a, self.c
+        else:
+            num, den = self.a * p + self.b, self.c * p + self.d
         if den == 0:
             return INFINITY
-        return (self.a * p + self.b) / den
+        z = num / den
+        return z if _finite_complex(z) else INFINITY
 
     def apply_to_line(self, line: "GeodesicLine") -> "GeodesicLine":
         return GeodesicLine(self.apply(line.p), self.apply(line.q))
@@ -295,6 +303,21 @@ def _to_zero_infinity(line: GeodesicLine) -> MobiusTransform:
     return MobiusTransform(1.0, -p, 1.0, -q)
 
 
+def _axis_distance(m: np.ndarray) -> np.ndarray:
+    """Complex distance eta from (0, INFINITY) to its image under each matrix
+    of an (n, 2, 2) stack.
+
+    The image is (b/d, a/c), whose cross-ratio with (0, INFINITY) is
+    x = bc/ad, and cosh(eta) = (1 + x)/(1 - x) = (ad + bc)/(ad - bc).  The
+    form 2 asinh(sqrt(bc/(ad - bc))) keeps its precision at short distances
+    and is unchanged by scaling the matrix, so it needs no determinant
+    normalization.
+    """
+    a, b, c, d = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
+    bc = b * c
+    return 2.0 * np.arcsinh(np.sqrt(bc / (a * d - bc)))
+
+
 def line_distance(g1: GeodesicLine, g2: GeodesicLine) -> ComplexDistance:
     """Complex distance between two geodesics.
 
@@ -308,15 +331,14 @@ def line_distance(g1: GeodesicLine, g2: GeodesicLine) -> ComplexDistance:
     m = _to_zero_infinity(g1)
     u = m.apply(g2.p)
     v = m.apply(g2.q)
-    # cross-ratio x of (0, INFINITY; u, v) is u/v; cosh(eta) = (1+x)/(1-x)
     if is_infinity(u) or v == 0:
         return ComplexDistance(0.0, math.pi)
     if is_infinity(v) or u == 0:
         return ComplexDistance(0.0, 0.0)
-    x = u / v
-    if x == 1.0:
+    if u == v:
         raise DomainError("line_distance: degenerate endpoint configuration")
-    eta = cmath.acosh((1.0 + x) / (1.0 - x))
+    # [[v, u], [1, 1]] takes (0, INFINITY) to (u, v)
+    eta = complex(_axis_distance(np.array([[[v, u], [1.0, 1.0]]]))[0])
     d = max(eta.real, 0.0)
     phi = eta.imag
     if phi <= -math.pi:
@@ -335,9 +357,22 @@ def _points_on_line(line: GeodesicLine, s: np.ndarray) -> tuple[np.ndarray, np.n
     return w, t / den
 
 
-def _pair_distance(w1, t1, w2, t2):
+def _pair_distances(g1: GeodesicLine, g2: GeodesicLine, s1: np.ndarray, s2: np.ndarray):
+    """Distances between the points at arclengths s1 on g1 and s2 on g2, as
+    a len(s1) x len(s2) matrix."""
+    w1, t1 = _points_on_line(g1, s1)
+    w2, t2 = _points_on_line(g2, s2)
+    w1, t1, w2, t2 = w1[:, None], t1[:, None], w2[None, :], t2[None, :]
     q = (np.abs(w1 - w2) ** 2 + (t1 - t2) ** 2) / (2.0 * t1 * t2)
     return np.arccosh(1.0 + q)
+
+
+# re-grid window of the oracle's refinement: points per side, the
+# half-width (in arclength) at which it stops, and a cap on the windows for
+# pairs whose closest points lie out of reach (asymptotic lines)
+_REFINE_POINTS = 9
+_REFINE_HALF_WIDTH = 1e-9
+_REFINE_ROUNDS = 200
 
 
 def line_distance_oracle(
@@ -358,27 +393,25 @@ def line_distance_oracle(
     if grid < 2:
         raise DomainError("line_distance_oracle: grid must be >= 2")
     s = np.linspace(-span, span, grid)
-    w1, t1 = _points_on_line(g1, s)
-    w2, t2 = _points_on_line(g2, s)
-    dmat = _pair_distance(w1[:, None], t1[:, None], w2[None, :], t2[None, :])
-    flat = int(np.argmin(dmat))
-    i, j = divmod(flat, grid)
-    coarse = float(dmat[i, j])
+    dmat = _pair_distances(g1, g2, s, s)
+    i, j = divmod(int(np.argmin(dmat)), grid)
+    best = float(dmat[i, j])
     if not refine:
-        return coarse
-
-    def objective(x):
-        a1, h1 = _points_on_line(g1, np.array([x[0]]))
-        a2, h2 = _points_on_line(g2, np.array([x[1]]))
-        return float(_pair_distance(a1[0], h1[0], a2[0], h2[0]))
-
-    res = optimize.minimize(
-        objective,
-        x0=[s[i], s[j]],
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 600},
-    )
-    return min(coarse, float(res.fun))
+        return best
+    # the distance is jointly convex in the two arclengths: re-grid a window
+    # about the best pair, and shrink it while the best pair stays inside
+    offsets = np.linspace(-1.0, 1.0, _REFINE_POINTS)
+    x1, x2, half = s[i], s[j], s[1] - s[0]
+    for _ in range(_REFINE_ROUNDS):
+        if half <= _REFINE_HALF_WIDTH:
+            break
+        window = _pair_distances(g1, g2, x1 + half * offsets, x2 + half * offsets)
+        k1, k2 = divmod(int(np.argmin(window)), _REFINE_POINTS)
+        best = min(best, float(window[k1, k2]))
+        x1, x2 = x1 + half * offsets[k1], x2 + half * offsets[k2]
+        if 0 < k1 < _REFINE_POINTS - 1 and 0 < k2 < _REFINE_POINTS - 1:
+            half *= 0.25
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -443,12 +476,26 @@ def _letters(count: int) -> list[str]:
     return out
 
 
-def _sign_normalized_key(m: MobiusTransform, digits: int = 9):
-    entries = (m.a, m.b, m.c, m.d)
-    ref = max(entries, key=abs)
-    flip = ref.real < 0 or (ref.real == 0 and ref.imag < 0)
-    s = -1.0 if flip else 1.0
-    return tuple(round(x, digits) for e in entries for x in ((s * e).real, (s * e).imag))
+def _matrix(m: MobiusTransform) -> np.ndarray:
+    return np.array([[m.a, m.b], [m.c, m.d]])
+
+
+# duplicate words are matrices that agree to this many decimals
+_KEY_DIGITS = 9
+
+
+def _word_keys(words: np.ndarray) -> list[bytes]:
+    """One key per matrix of an (n, 2, 2) stack: the entries scaled to
+    determinant 1, signed so that the first entry of largest modulus is
+    positive (real part, then imaginary part), rounded to _KEY_DIGITS."""
+    flat = words.reshape(-1, 4)
+    flat = flat / np.sqrt(flat[:, 0] * flat[:, 3] - flat[:, 1] * flat[:, 2])[:, None]
+    ref = flat[np.arange(len(flat)), np.argmax(np.abs(flat), axis=1)]
+    flip = (ref.real < 0) | ((ref.real == 0) & (ref.imag < 0))
+    flat = np.where(flip[:, None], -flat, flat)
+    # adding 0.0 turns -0.0 into 0.0, so equal keys have equal bytes
+    rounded = np.round(flat.view(np.float64), _KEY_DIGITS) + 0.0
+    return rounded.view(np.dtype((np.void, rounded.shape[1] * 8))).ravel().tolist()
 
 
 class TubeRadiusResult(NamedTuple):
@@ -468,41 +515,64 @@ def tube_radius_upper_bound(
     other axis-preserving elements) are excluded; duplicate matrices are
     searched once.  Returns radius = inf with witness None when no distinct
     lift shows up within the search.
+
+    The search runs one word length at a time on arrays, in the frame where
+    the core's axis is (0, INFINITY).  Words are kept in breadth-first order
+    (shorter first, then by parent, then by letter), and the first word at
+    the minimal distance is the witness.
     """
     if max_word_length < 1:
         raise DomainError("tube_radius_upper_bound: max_word_length must be >= 1")
-    core_axis = axis(g.core())
     letters = _letters(len(g.generators))
-    matrices = {letter: _letter_matrix(g.generators, letter) for letter in letters}
+    to_core = _to_zero_infinity(axis(g.core()))
+    letter_matrices = (
+        _matrix(to_core)
+        @ np.stack([_matrix(_letter_matrix(g.generators, letter)) for letter in letters])
+        @ _matrix(to_core.inverse())
+    )
+    # letters alternate generator, inverse: a, A, b, B, ...
+    inverse_letter = np.arange(len(letters)) ^ 1
 
     best_d = math.inf
-    best_word: str | None = None
-    seen: set[tuple] = set()
-    frontier: list[tuple[str, MobiusTransform]] = [("", MobiusTransform.identity())]
-    for _ in range(max_word_length):
-        next_frontier = []
-        for word, m in frontier:
-            for letter in letters:
-                if word and word[-1] == letter.swapcase():
-                    continue  # free reduction
-                new_word = word + letter
-                new_m = m @ matrices[letter]
-                key = _sign_normalized_key(new_m)
-                if key in seen:
-                    continue
+    best: tuple[int, int] | None = None  # (length - 1, index) of the witness
+    seen: set[bytes] = set()
+    frontier = np.eye(2, dtype=complex)[None]
+    last = np.array([-1])  # last letter of each frontier word
+    levels: list[tuple[np.ndarray, np.ndarray]] = []  # parent and letter per word
+    for level in range(max_word_length):
+        parent = np.repeat(np.arange(len(frontier)), len(letters))
+        letter = np.tile(np.arange(len(letters)), len(frontier))
+        reduced = inverse_letter[letter] != last[parent]
+        parent, letter = parent[reduced], letter[reduced]
+        words = frontier[parent] @ letter_matrices[letter]
+        if not np.isfinite(words).all():
+            raise DomainError("tube_radius_upper_bound: word entries overflow")
+        fresh = np.zeros(len(words), dtype=bool)
+        for i, key in enumerate(_word_keys(words)):
+            if key not in seen:
                 seen.add(key)
-                next_frontier.append((new_word, new_m))
-                image = new_m.apply_to_line(core_axis)
-                cd = line_distance(core_axis, image)
-                if cd.same_line:
-                    continue
-                if cd.d < best_d:
-                    best_d = cd.d
-                    best_word = new_word
-        frontier = next_frontier
-    if best_word is None:
+                fresh[i] = True
+        frontier, last = words[fresh], letter[fresh]
+        levels.append((parent[fresh], last))
+        # words that are neither diagonal nor anti-diagonal move the axis
+        mag = np.abs(frontier).reshape(-1, 4)
+        tol = _FIXES_AXIS_TOL * mag.max(axis=1)
+        moved = np.flatnonzero(
+            (np.maximum(mag[:, 1], mag[:, 2]) > tol) & (np.maximum(mag[:, 0], mag[:, 3]) > tol)
+        )
+        if len(moved):
+            d = np.maximum(_axis_distance(frontier[moved]).real, 0.0)
+            j = int(np.argmin(d))
+            if d[j] < best_d:
+                best_d, best = float(d[j]), (level, int(moved[j]))
+    if best is None:
         return TubeRadiusResult(math.inf, None)
-    return TubeRadiusResult(0.5 * best_d, best_word)
+    level, index = best
+    spelled = []
+    for parent, letter in reversed(levels[: level + 1]):
+        spelled.append(letters[letter[index]])
+        index = parent[index]
+    return TubeRadiusResult(0.5 * best_d, "".join(reversed(spelled)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
-from .hypkernel import TubeData, V3, V8, filled_volume_lower_bound
+from .hypkernel import TubeData, V3, V8, drilling_terms
 
 __all__ = [
     "AlternatingDiagram",
@@ -114,10 +116,8 @@ def min_volume_scan(
         raise DomainError("min_volume_scan: l_max must be positive")
     if steps < 1:
         raise DomainError("min_volume_scan: steps must be >= 1")
-    best = math.inf
-    for i in range(1, steps + 1):
-        length = l_max * i / steps
-        value = filled_volume_lower_bound(v_cusped_min, TubeData(length, radius))
-        if value < best:
-            best = value
-    return best
+    TubeData(l_max, radius)  # checks the radius
+    lengths = l_max * np.arange(1, steps + 1) / steps
+    # filled_volume_lower_bound(v_cusped_min, TubeData(L, radius)) at every L
+    correction, _, c_p = drilling_terms(0.0, lengths, radius)
+    return float(np.min(v_cusped_min / c_p - correction))

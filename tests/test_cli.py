@@ -1,9 +1,14 @@
 import math
+import os
 import shutil
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import tubevol
 from tubevol.cli import main
 
 HALF_LN3 = 0.5 * math.log(3.0)
@@ -233,6 +238,42 @@ class TestTubeRadius:
             values.append(float(out.split("tube radius bound")[1].split()[0]))
         assert values[0] >= values[1] >= values[2]
 
+    def test_zero_bound_warns(self, capsys, data_dir):
+        code, out, err = run(
+            capsys, "tube-radius", str(data_dir / "two_gen.txt"), "--max-word-length", "3"
+        )
+        assert code == 0
+        assert out.split("tube radius bound")[1].split()[0] == "0"
+        assert table_value(out, "witness") == "baB"
+        assert len(err.splitlines()) == 1
+        assert "baB" in err and "not discrete" in err
+
+    def test_long_words_of_schottky_group(self, capsys, tmp_path):
+        # the classical Schottky group pairing radius-1 circles about +-3 and
+        # about +-3i, with non-integer entries: words of length 5 outgrew an
+        # absolute determinant tolerance
+        path = tmp_path / "schottky.txt"
+        path.write_text("2.1 0 5.6 0 0.7 0 2.1 0\n0 2.1 -7 0 0.7 0 0 2.1\ncore: a\n")
+        for k in ("5", "8"):
+            code, out, err = run(capsys, "tube-radius", str(path), "--max-word-length", k)
+            assert code == 0, err
+            assert float(out.split("tube radius bound")[1].split()[0]) > 0.0
+
+    def test_core_powers_fix_the_axis(self, capsys, tmp_path):
+        # the same group with integer entries: AAAAA once passed for a
+        # distinct lift at distance 0
+        path = tmp_path / "schottky.txt"
+        path.write_text("3 0 8 0 1 0 3 0\n0 3 -10 0 1 0 0 3\ncore: a\n")
+        bounds = {}
+        for k in ("1", "5"):
+            code, out, _ = run(capsys, "tube-radius", str(path), "--max-word-length", k)
+            assert code == 0
+            bounds[k] = float(out.split("tube radius bound")[1].split()[0])
+            witness = table_value(out, "witness")
+        assert bounds["1"] == pytest.approx(1.82499145376, rel=1e-11)
+        assert bounds["5"] == pytest.approx(bounds["1"], rel=1e-9)
+        assert witness.strip("aA")
+
     def test_non_loxodromic_core(self, capsys, tmp_path):
         path = tmp_path / "parabolic.txt"
         path.write_text("1 0 1 0 0 0 1 0\ncore: a\n")
@@ -376,6 +417,24 @@ class TestConfig:
         assert report.exists()
         assert not (tmp_path / "should-not-be-used.csv").exists()
 
+    def test_missing_config_value_is_usage_error(self, capsys, data_dir):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", str(data_dir / "sample20.csv"), "--config"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--config" in err
+        assert "Traceback" not in err
+
+    def test_config_with_equals_sign(self, capsys, tmp_path, data_dir):
+        config = tmp_path / "bad.cfg"
+        config.write_text("bins=abc\n")
+        report = str(tmp_path / "out.csv")
+        sample = str(data_dir / "sample20.csv")
+        code, _, err = run(capsys, f"--config={config}", "verify", sample, "--report", report)
+        assert code == 1
+        assert err == run(capsys, "--config", str(config), "verify", sample, "--report", report)[2]
+        assert "bins" in err
+
     def test_unknown_key_rejected(self, capsys, tmp_path, data_dir):
         config = tmp_path / "run.conf"
         config.write_text("mystery = 3\n")
@@ -384,3 +443,17 @@ class TestConfig:
         )
         assert code == 1
         assert "mystery" in err
+
+
+def test_import_needs_no_scipy():
+    # scipy serves the test suite only
+    env = dict(os.environ, PYTHONPATH=str(Path(tubevol.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, tubevol.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -118,6 +118,14 @@ class TestComplexLength:
 
     @given(loxodromics, conjugators)
     @settings(max_examples=150)
+    # renormalizing the product's determinant by a noisy sqrt(det) cost
+    # 1.2e-10 of length here
+    @example(
+        m=MobiusTransform(
+            -10.857566061149807, 34.39229016258732, -4.168762443949979, 13.11281799156257
+        ),
+        conj=MobiusTransform(2.5j, 1j, 3j, 1j),
+    )
     def test_conjugation_invariant(self, m, conj):
         lam = complex_length(m)
         lam_conj = complex_length(conj @ m @ conj.inverse())
@@ -161,6 +169,8 @@ class TestAxis:
 
     @given(loxodromics)
     @settings(max_examples=100)
+    # a subnormal c: the image a / c of INFINITY overflows
+    @example(m=MobiusTransform(1.6487212707001282, 0, -2.4167890471777e-311, 0.6065306597126334))
     def test_axis_fixed_setwise(self, m):
         line = axis(m)
         assert m.apply_to_line(line).same_line(line, tol=1e-6)
@@ -317,6 +327,16 @@ class TestWordEvaluation:
         word = evaluate_word((g, h), "aB")
         direct = g @ h.inverse()
         assert abs(word.a - direct.a) < 1e-12
+
+    def test_long_product_keeps_unit_determinant(self):
+        # Schottky group pairing radius-1 circles about +-3 and about +-3i,
+        # written with non-integer entries: products of length 8 have
+        # entries near 2e5, beyond any absolute determinant tolerance
+        a = MobiusTransform(2.1, 5.6, 0.7, 2.1)
+        b = MobiusTransform(2.1j, -7.0, 0.7, 2.1j)
+        m = evaluate_word((a, b), "abABabAB")
+        scale = abs(m.a * m.d) + abs(m.b * m.c)
+        assert abs(m.a * m.d - m.b * m.c - 1.0) < 1e-14 * scale
 
     def test_bad_letter(self):
         g = MobiusTransform(2.0, 0.0, 0.0, 0.5)

@@ -113,6 +113,22 @@ class TestMinVolumeScan:
         assert v == direct
         assert v == pytest.approx(0.67, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "v, radius, l_max, steps",
+        [
+            (2.0 * V3, HALF_LN3, 0.58775953104788788, 1000),
+            (0.9813688288922, 0.05, 3.7, 257),
+            (7.5, 2.4, 0.013, 1),
+            (1.0, 0.8, 12.0, 999),
+        ],
+    )
+    def test_equals_per_length_minimum(self, v, radius, l_max, steps):
+        per_length = [
+            filled_volume_lower_bound(v, TubeData(l_max * i / steps, radius))
+            for i in range(1, steps + 1)
+        ]
+        assert min_volume_scan(v, radius, l_max, steps) == min(per_length)
+
     def test_monotone_in_l_max(self):
         values = [min_volume_scan(2.0 * V3, HALF_LN3, lm, 100) for lm in (0.2, 0.5, 1.0)]
         assert values[0] > values[1] > values[2]
@@ -124,3 +140,5 @@ class TestMinVolumeScan:
             min_volume_scan(1.0, 1.0, 0.0, 10)
         with pytest.raises(DomainError):
             min_volume_scan(1.0, 1.0, 1.0, 0)
+        with pytest.raises(DomainError):
+            min_volume_scan(1.0, 0.0, 1.0, 10)
