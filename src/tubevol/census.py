@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IngestError
+from .errors import DomainError, IngestError, parse_number, read_lines
 from . import hypkernel
 from . import surgery
 
@@ -134,11 +134,15 @@ def _write_csv(path, columns: dict[str, np.ndarray], float_format: str = "%.12g"
 # Ingest
 
 
+def _fields(text: str) -> list[float]:
+    return list(map(float, text.split(",")))
+
+
 def ingest(path) -> Table:
     """Read drill records from a CSV file into a table of ``INPUT_COLUMNS``.
 
-    Format: UTF-8, header ``name,v_fill,v_drill,length,radius``, one record
-    per line, '#' lines ignored.  Raises IngestError carrying row-numbered
+    Format: lines as ``errors.read_lines`` reads them, the header
+    ``name,v_fill,v_drill,length,radius``, then one record per line.  Raises IngestError carrying row-numbered
     diagnostics if any row fails validation (non-numeric fields, duplicate
     or empty names, nonpositive length/radius, or v_drill <= v_fill, which
     breaks the strict drilling inequality).
@@ -147,53 +151,49 @@ def ingest(path) -> Table:
     values = [array("d") for _ in INPUT_COLUMNS]
     diagnostics: list[str] = []
     header_seen = False
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not header_seen:
-                if line != _CSV_HEADER:
-                    raise IngestError(
-                        [f"line {lineno}: expected header {_CSV_HEADER!r}, got {line!r}"]
-                    )
-                header_seen = True
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 5:
-                diagnostics.append(f"line {lineno}: expected 5 fields, got {len(parts)}")
-                continue
-            name = parts[0]
-            try:
-                row = [float(p) for p in parts[1:]]
-            except ValueError:
-                diagnostics.append(f"line {lineno}: non-numeric field in {line!r}")
-                continue
-            if not name:
-                diagnostics.append(f"line {lineno}: empty name")
-                continue
-            if name in names:
-                diagnostics.append(f"line {lineno}: duplicate name {name!r}")
-                continue
-            v_fill, v_drill, length, radius = row
-            row_problems = []
-            if not (math.isfinite(v_fill) and v_fill > 0.0):
-                row_problems.append(f"v_fill ({parts[1]}) must be positive")
-            if not (math.isfinite(length) and length > 0.0):
-                row_problems.append(f"length ({parts[3]}) must be positive")
-            if not (math.isfinite(radius) and radius > 0.0):
-                row_problems.append(f"radius ({parts[4]}) must be positive")
-            if not row_problems and not (math.isfinite(v_drill) and v_drill > v_fill):
-                row_problems.append(
-                    f"v_drill ({parts[2]}) must strictly exceed v_fill ({parts[1]}): "
-                    "drilling strictly increases volume"
+    for lineno, line in read_lines(path):
+        if not header_seen:
+            if line != _CSV_HEADER:
+                raise IngestError(
+                    [f"line {lineno}: expected header {_CSV_HEADER!r}, got {line!r}"]
                 )
-            if row_problems:
-                diagnostics.append(f"line {lineno}: " + "; ".join(row_problems))
-                continue
-            names[name] = None
-            for column, value in zip(values, row):
-                column.append(value)
+            header_seen = True
+            continue
+        parts = line.split(",")
+        if len(parts) != 5:
+            diagnostics.append(f"line {lineno}: expected 5 fields, got {len(parts)}")
+            continue
+        name = parts[0].strip()
+        try:
+            row = parse_number(line[len(parts[0]) + 1 :], _fields)
+        except ValueError:
+            diagnostics.append(f"line {lineno}: non-numeric field in {line!r}")
+            continue
+        if not name:
+            diagnostics.append(f"line {lineno}: empty name")
+            continue
+        if name in names:
+            diagnostics.append(f"line {lineno}: duplicate name {name!r}")
+            continue
+        v_fill, v_drill, length, radius = row
+        row_problems = []
+        if not (math.isfinite(v_fill) and v_fill > 0.0):
+            row_problems.append(f"v_fill ({parts[1].strip()}) must be positive")
+        if not (math.isfinite(length) and length > 0.0):
+            row_problems.append(f"length ({parts[3].strip()}) must be positive")
+        if not (math.isfinite(radius) and radius > 0.0):
+            row_problems.append(f"radius ({parts[4].strip()}) must be positive")
+        if not row_problems and not (math.isfinite(v_drill) and v_drill > v_fill):
+            row_problems.append(
+                f"v_drill ({parts[2].strip()}) must strictly exceed "
+                f"v_fill ({parts[1].strip()}): drilling strictly increases volume"
+            )
+        if row_problems:
+            diagnostics.append(f"line {lineno}: " + "; ".join(row_problems))
+            continue
+        names[name] = None
+        for column, value in zip(values, row):
+            column.append(value)
     if not header_seen:
         raise IngestError(["file has no header line"])
     if diagnostics:
@@ -215,6 +215,7 @@ def write_dataset(table: Table, path) -> None:
 # Evaluation
 
 
+@np.errstate(**hypkernel.STRICT_FLOATS)
 def evaluate(table: Table, tol: float = 0.0) -> Table:
     """Evaluate every bound on each record of a table of ``INPUT_COLUMNS``,
     preserving order; the result carries the input columns as well.
@@ -226,9 +227,7 @@ def evaluate(table: Table, tol: float = 0.0) -> Table:
     if not (math.isfinite(tol) and tol >= 0.0):
         raise DomainError("evaluate: tol must be >= 0")
     v_fill, v_drill, length, radius = (table[key] for key in INPUT_COLUMNS)
-    b, c_o, c_p = hypkernel.drilling_terms(v_fill, length, radius)
-    v_est_old = c_o * b
-    v_est_perelman = c_p * b
+    b, c_o, c_p, v_est_old, v_est_perelman = hypkernel.drilling_estimates(v_fill, length, radius)
     delta_v = v_drill - v_fill
     pi_l = math.pi * length
     slack = 1.0 + tol
@@ -258,13 +257,16 @@ def evaluate(table: Table, tol: float = 0.0) -> Table:
 def _histogram(values: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
     """``np.histogram`` of ``bins`` equal bins over the range of ``values``;
     values equal up to rounding, which leave no room for distinct edges, get
-    the unit range numpy gives values that are all equal."""
+    the unit range numpy gives values that are all equal, or ``bins`` ulps
+    each way where a unit is below rounding."""
     lo, hi = float(values.min()), float(values.max())
     if not np.all(np.diff(np.linspace(lo, hi, bins + 1)) > 0.0):
-        lo, hi = lo - 0.5, hi + 0.5
+        pad = max(0.5, bins * float(np.spacing(abs(hi))))
+        lo, hi = lo - pad, hi + pad
     return np.histogram(values, bins=bins, range=(lo, hi))
 
 
+@np.errstate(**hypkernel.STRICT_FLOATS)
 def statistics(table: Table, bins: int = 40) -> DatasetStats:
     """Sample mean and standard deviation (n-1 denominator) of the ratio
     delta_v / (pi L), its histogram over the observed range, violation
@@ -444,8 +446,7 @@ def write_figure_csv(fig: FigureSeries, out_dir) -> list[str]:
 def _within_sharp_bound(v_fill, v_drill, length, radius) -> np.ndarray:
     """Whether v_drill <= C_P * B: ``synthesize``'s acceptance check, through
     the kernel ``evaluate`` uses, so accepted records never flip."""
-    b, _, c_p = hypkernel.drilling_terms(v_fill, length, radius)
-    return v_drill <= c_p * b
+    return v_drill <= hypkernel.drilling_estimates(v_fill, length, radius)[4]
 
 
 def synthesize(

@@ -13,62 +13,61 @@ file of key=value lines may supply defaults; flags override it.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
 
 from . import census, hypkernel, kleinian, surgery, svgplot, topobounds
-from .errors import DomainError, IngestError, ParseError
+from .errors import DomainError, IngestError, ParseError, parse_number, read_lines
 from .hypkernel import Factor, TubeData
 
 __all__ = ["main"]
 
 
 def _fmt(x: float) -> str:
+    if not math.isfinite(x):
+        raise OverflowError(f"a result is {x}, not a finite binary64 value")
     return f"{x:.12g}"
+
+
+# the argparse and config types of numbers; argparse names the type in its
+# messages ("invalid float value")
+_FLOAT, _INT = (functools.partial(parse_number, kind=kind) for kind in (float, int))
+_FLOAT.__name__, _INT.__name__ = "float", "int"
 
 
 # ---------------------------------------------------------------------------
 # Config file
 
 
-def _load_config(path: str) -> dict[str, str]:
-    values = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError(f"{path}: line {lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
 _CONFIG_TYPES = {
     "factor": str,
-    "bins": int,
-    "max_word_length": int,
-    "seed": int,
-    "count": int,
-    "noise_sigma": float,
-    "r_min": float,
-    "r_max": float,
-    "curve_points": int,
-    "radius": float,
+    "bins": _INT,
+    "max_word_length": _INT,
+    "seed": _INT,
+    "count": _INT,
+    "noise_sigma": _FLOAT,
+    "r_min": _FLOAT,
+    "r_max": _FLOAT,
+    "curve_points": _INT,
+    "radius": _FLOAT,
     "report": str,
-    "tol": float,
+    "tol": _FLOAT,
 }
 
 
 def _config_values(path: str) -> dict:
     values = {}
-    for key, raw in _load_config(path).items():
+    for lineno, line in read_lines(path):
+        if "=" not in line:
+            raise ParseError(f"{path}: line {lineno}: expected key=value")
+        key, _, raw = line.partition("=")
+        key = key.strip().replace("-", "_")
         if key not in _CONFIG_TYPES:
             raise ParseError(f"{path}: unknown config key {key!r}")
         try:
-            values[key] = _CONFIG_TYPES[key](raw)
+            values[key] = _CONFIG_TYPES[key](raw.strip())
         except ValueError as exc:
             raise ParseError(f"{path}: bad value for {key!r}: {exc}") from exc
     return values
@@ -129,12 +128,15 @@ def _print_summary(stats: census.DatasetStats) -> None:
         )
 
 
-def _cmd_verify(args) -> int:
-    records = census.ingest(args.dataset)
+def _evaluate_dataset(path: str, tol: float = 0.0) -> census.Table:
+    records = census.ingest(path)
     if not len(records):
-        print("error: dataset contains no records", file=sys.stderr)
-        return 1
-    reports = census.evaluate(records, tol=args.tol)
+        raise IngestError(["dataset contains no records"])
+    return census.evaluate(records, tol=tol)
+
+
+def _cmd_verify(args) -> int:
+    reports = _evaluate_dataset(args.dataset, args.tol)
     stats = census.statistics(reports, bins=args.bins)
     report_path = args.report or args.dataset + ".report.csv"
     census.write_report_csv(reports, report_path)
@@ -152,11 +154,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_figures(args) -> int:
-    records = census.ingest(args.dataset)
-    if not len(records):
-        print("error: dataset contains no records", file=sys.stderr)
-        return 1
-    reports = census.evaluate(records)
+    reports = _evaluate_dataset(args.dataset)
     series = census.figure_series(
         reports,
         r_range=(args.r_min, args.r_max),
@@ -273,9 +271,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     sub = parser.add_subparsers(dest="command", required=True)
 
     est = sub.add_parser("estimate", help="closed-form bounds for one record")
-    est.add_argument("v_fill", type=float)
-    est.add_argument("length", type=float)
-    est.add_argument("radius", type=float)
+    est.add_argument("v_fill", type=_FLOAT)
+    est.add_argument("length", type=_FLOAT)
+    est.add_argument("radius", type=_FLOAT)
     est.add_argument("--factor", choices=["perelman", "old", "both"], default="both")
     est.add_argument("--csv", action="store_true", help="machine-readable output")
     est.set_defaults(handler=_cmd_estimate)
@@ -283,10 +281,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     ver = sub.add_parser("verify", help="validate a dataset against every bound")
     ver.add_argument("dataset")
     ver.add_argument("--report", help="report CSV path (default: <dataset>.report.csv)")
-    ver.add_argument("--bins", type=int, default=40)
+    ver.add_argument("--bins", type=_INT, default=40)
     ver.add_argument(
         "--tol",
-        type=float,
+        type=_FLOAT,
         default=0.0,
         help="relative slack for the inequality verdicts (default 0: exact)",
     )
@@ -295,46 +293,46 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     fig = sub.add_parser("figures", help="emit figure series CSVs and SVGs")
     fig.add_argument("dataset")
     fig.add_argument("out_dir")
-    fig.add_argument("--bins", type=int, default=40)
-    fig.add_argument("--r-min", type=float, default=0.05)
-    fig.add_argument("--r-max", type=float, default=3.0)
-    fig.add_argument("--curve-points", type=int, default=512)
+    fig.add_argument("--bins", type=_INT, default=40)
+    fig.add_argument("--r-min", type=_FLOAT, default=0.05)
+    fig.add_argument("--r-max", type=_FLOAT, default=3.0)
+    fig.add_argument("--curve-points", type=_INT, default=512)
     fig.set_defaults(handler=_cmd_figures)
 
     tr = sub.add_parser("tube-radius", help="search a presentation for close lifts")
     tr.add_argument("presentation")
-    tr.add_argument("--max-word-length", type=int, default=3)
+    tr.add_argument("--max-word-length", type=_INT, default=3)
     tr.set_defaults(handler=_cmd_tube_radius)
 
     sur = sub.add_parser("surgery", help="cone-profile volume predictors")
     sur.add_argument("profile")
-    sur.add_argument("--radius", type=float, help="tube radius for the regime check")
+    sur.add_argument("--radius", type=_FLOAT, help="tube radius for the regime check")
     sur.set_defaults(handler=_cmd_surgery)
 
     syn = sub.add_parser("synthesize", help="generate a synthetic dataset")
-    syn.add_argument("count", type=int)
-    syn.add_argument("seed", type=int)
+    syn.add_argument("count", type=_INT)
+    syn.add_argument("seed", type=_INT)
     syn.add_argument("out")
-    syn.add_argument("--noise-sigma", type=float, default=0.017)
+    syn.add_argument("--noise-sigma", type=_FLOAT, default=0.017)
     syn.set_defaults(handler=_cmd_synthesize)
 
     bnd = sub.add_parser("bounds", help="volume bounds from topological invariants")
-    bnd.add_argument("--chi", type=int, help="Euler characteristic of guts (<= 0)")
+    bnd.add_argument("--chi", type=_INT, help="Euler characteristic of guts (<= 0)")
     bnd.add_argument(
-        "--gromov-norm", type=float, help="Gromov norm of the doubled cut-open manifold"
+        "--gromov-norm", type=_FLOAT, help="Gromov norm of the doubled cut-open manifold"
     )
-    bnd.add_argument("--twist", type=int, help="twist number of an alternating diagram")
+    bnd.add_argument("--twist", type=_INT, help="twist number of an alternating diagram")
     bnd.add_argument(
-        "--double-norm", type=float, help="doubled Gromov norm for the minimal-surface bound"
+        "--double-norm", type=_FLOAT, help="doubled Gromov norm for the minimal-surface bound"
     )
     bnd.add_argument(
         "--min-scan",
-        type=float,
+        type=_FLOAT,
         nargs=3,
         metavar=("V_CUSPED", "RADIUS", "L_MAX"),
         help="scan the filled-volume bound over lengths up to L_MAX",
     )
-    bnd.add_argument("--steps", type=int, default=1000)
+    bnd.add_argument("--steps", type=_INT, default=1000)
     bnd.set_defaults(handler=_cmd_bounds)
     return parser, [est, ver, fig, tr, sur, syn, bnd]
 
@@ -356,10 +354,7 @@ def main(argv=None) -> int:
                 p.set_defaults(**values)
         args = parser.parse_args(rest)
         return args.handler(args)
-    except (ParseError, IngestError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ParseError, IngestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (DomainError, OverflowError, FloatingPointError) as exc:

@@ -1,4 +1,4 @@
-"""Shared exception types.
+"""Shared exception types and the input grammar every reader follows.
 
 Exit-code mapping used by the CLI: parse/ingest/I-O problems are input
 errors (exit 1), DomainError and subclasses are domain errors (exit 2),
@@ -24,3 +24,30 @@ class IngestError(ValueError):
     def __init__(self, diagnostics):
         self.diagnostics = list(diagnostics)
         super().__init__("; ".join(self.diagnostics))
+
+
+def read_lines(path):
+    """Yield (line number, stripped line) for each line of a UTF-8 file,
+    with or without a byte-order mark, that is neither blank nor a '#'
+    comment; bytes that are not UTF-8 are a ParseError naming their line."""
+    # undecodable bytes become lone surrogates, which only non-ASCII lines hold
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
+        for lineno, raw in enumerate(handle, 1):
+            line = raw.strip()
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ParseError(f"{path}: line {lineno}: not UTF-8 text") from None
+            if line and not line.startswith("#"):
+                yield lineno, line
+
+
+def parse_number(text: str, kind=float):
+    """``kind(text)``, ``kind`` float, int or a function reading a row's fields
+    with them, for every number read from input.  Unlike float() and int()
+    alone it rejects '_' ('2_0' is not 20) and non-ASCII digits; 'inf' and
+    'nan' pass, for the callers' range checks."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a plain ASCII number: {text!r}")
+    return kind(text)

@@ -21,12 +21,14 @@ __all__ = [
     "Constants",
     "CONSTANTS",
     "Factor",
+    "STRICT_FLOATS",
     "TubeData",
     "V3",
     "V8",
     "VolumePair",
     "bound_base_B",
     "drilled_volume_bound",
+    "drilling_estimates",
     "drilling_factors",
     "drilling_terms",
     "factor_co",
@@ -231,41 +233,46 @@ def horocusp_volume(t: TubeData) -> float:
 # Drilling estimates
 
 
-# The array kernel below is the only implementation of B, C_O and C_P, so no
-# verdict depends on the path that computed it.  Inputs become contiguous
-# arrays of at least one dimension: numpy rounds sinh, cosh and powers
-# differently on 0-d or non-contiguous input.  Overflow and division by zero
-# raise FloatingPointError rather than yield inf or nan.  No domain checks.
+# The array kernel below is the only implementation of B, C_O, C_P and the
+# estimates C B, so no verdict depends on the path that computed it.  Inputs
+# become contiguous arrays of at least one dimension: numpy rounds sinh, cosh
+# and powers differently on 0-d or non-contiguous input.  No domain checks.
+# Under STRICT_FLOATS (np.errstate here and in array code elsewhere) overflow,
+# division by zero and invalid operations raise rather than yield inf or nan.
+STRICT_FLOATS = dict(over="raise", divide="raise", invalid="raise")
 
 
+@np.errstate(**STRICT_FLOATS)
 def drilling_factors(radius) -> tuple[np.ndarray, np.ndarray]:
     """C_O = (coth R coth 2R)^(3/2) and C_P = coth(2R)^3 over an array of R."""
     radius = np.ascontiguousarray(radius, dtype=np.float64)
-    with np.errstate(over="raise", divide="raise", invalid="raise"):
-        tanh_2r = np.tanh(2.0 * radius)
-        return (1.0 / (np.tanh(radius) * tanh_2r)) ** 1.5, (1.0 / tanh_2r) ** 3
+    tanh_2r = np.tanh(2.0 * radius)
+    return (1.0 / (np.tanh(radius) * tanh_2r)) ** 1.5, (1.0 / tanh_2r) ** 3
 
 
+@np.errstate(**STRICT_FLOATS)
 def drilling_terms(v_fill, length, radius) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """B = v_fill + pi L sinh(R)^2 sech(2R) over broadcast arrays, then C_O
     and C_P as drilling_factors(radius); with v_fill = 0, B is the tube term."""
     v_fill, length, radius = (
         np.ascontiguousarray(x, dtype=np.float64) for x in (v_fill, length, radius)
     )
-    with np.errstate(over="raise", divide="raise", invalid="raise"):
-        b = v_fill + np.pi * length * np.sinh(radius) ** 2 / np.cosh(2.0 * radius)
+    b = v_fill + np.pi * length * np.sinh(radius) ** 2 / np.cosh(2.0 * radius)
     return (b, *drilling_factors(radius))
 
 
-def _scalar_terms(v_fill: float, length: float, radius: float) -> tuple[float, float, float]:
-    return tuple(float(terms[0]) for terms in drilling_terms(v_fill, length, radius))
+@np.errstate(**STRICT_FLOATS)
+def drilling_estimates(v_fill, length, radius) -> tuple[np.ndarray, ...]:
+    """B, C_O and C_P as drilling_terms, then the estimates C_O B and C_P B."""
+    b, c_o, c_p = drilling_terms(v_fill, length, radius)
+    return b, c_o, c_p, c_o * b, c_p * b
 
 
 def bound_base_B(v_fill: float, t: TubeData) -> float:
     """Base term B = v_fill + pi L sinh(R)^2 sech(2R) of the drilling
     estimates; algebraically equal to v_fill + (pi/2) L tanh(R) tanh(2R)."""
     _require_positive_finite(v_fill, "v_fill")
-    return _scalar_terms(v_fill, t.length, t.radius)[0]
+    return float(drilling_terms(v_fill, t.length, t.radius)[0][0])
 
 
 def factor_co(radius: float) -> float:
@@ -280,11 +287,11 @@ def factor_cp(radius: float) -> float:
     return float(drilling_factors(radius)[1][0])
 
 
-def _factor_value(c_o: float, c_p: float, factor: Factor) -> float:
+def _factor_value(old, perelman, factor: Factor):
     if factor is Factor.PERELMAN:
-        return c_p
+        return perelman
     if factor is Factor.OLD:
-        return c_o
+        return old
     raise DomainError(f"unknown factor {factor!r}")
 
 
@@ -295,8 +302,8 @@ def drilled_volume_bound(v_fill: float, t: TubeData, factor: Factor) -> float:
     (OLD); the former is smaller, hence sharper, for every R.
     """
     _require_positive_finite(v_fill, "v_fill")
-    b, c_o, c_p = _scalar_terms(v_fill, t.length, t.radius)
-    return _factor_value(c_o, c_p, factor) * b
+    _, _, _, v_old, v_perelman = drilling_estimates(v_fill, t.length, t.radius)
+    return float(_factor_value(v_old, v_perelman, factor)[0])
 
 
 def overshoot_ratio(p: VolumePair, t: TubeData, factor: Factor = Factor.PERELMAN) -> float:
@@ -312,5 +319,5 @@ def filled_volume_lower_bound(
     """Lower bound for the filled volume, inverting the drilled-volume bound:
     v_drill / C(R) - pi L sinh(R)^2 sech(2R).  May be <= 0 (vacuous)."""
     _require_positive_finite(v_drill, "v_drill")
-    correction, c_o, c_p = _scalar_terms(0.0, t.length, t.radius)
+    correction, c_o, c_p = (float(x[0]) for x in drilling_terms(0.0, t.length, t.radius))
     return v_drill / _factor_value(c_o, c_p, factor) - correction

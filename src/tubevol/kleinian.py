@@ -22,7 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NonLoxodromicError, ParseError
+from .errors import DomainError, NonLoxodromicError, ParseError, parse_number, read_lines
+from .hypkernel import STRICT_FLOATS
 
 __all__ = [
     "ComplexDistance",
@@ -147,6 +148,9 @@ class MobiusTransform:
         quotient that overflows is INFINITY."""
         if is_infinity(p):
             num, den = self.a, self.c
+        elif max(abs(p.real), abs(p.imag)) > _HUGE:
+            # divided through by p, so that a p and c p cannot overflow
+            num, den = self.a + self.b / p, self.c + self.d / p
         else:
             num, den = self.a * p + self.b, self.c * p + self.d
         if den == 0:
@@ -156,14 +160,6 @@ class MobiusTransform:
 
     def apply_to_line(self, line: "GeodesicLine") -> "GeodesicLine":
         return GeodesicLine(self.apply(line.p), self.apply(line.q))
-
-    def apply_h3(self, point: "H3Point") -> "H3Point":
-        """Poincare extension: action on an interior point of half-space."""
-        z, t = complex(point.w), float(point.t)
-        cz_d = self.c * z + self.d
-        den = abs(cz_d) ** 2 + (abs(self.c) * t) ** 2
-        w = ((self.a * z + self.b) * cz_d.conjugate() + self.a * self.c.conjugate() * t * t) / den
-        return H3Point(w, t / den)
 
 
 class MobiusClass(enum.Enum):
@@ -503,6 +499,7 @@ class TubeRadiusResult(NamedTuple):
     witness: str | None
 
 
+@np.errstate(**STRICT_FLOATS)
 def tube_radius_upper_bound(
     g: GroupPresentation, max_word_length: int
 ) -> TubeRadiusResult:
@@ -580,33 +577,22 @@ def tube_radius_upper_bound(
 
 
 def read_presentation(path) -> GroupPresentation:
-    """Read a presentation: one generator per line as eight decimals
-    (re/im of a, b, c, d), then a line ``core: <word>``."""
+    """Read a presentation from ``errors.read_lines``: one generator per line
+    as eight decimals (re/im of a, b, c, d), then a line ``core: <word>``."""
     generators = []
     core_word = None
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("core:"):
-                core_word = line[len("core:") :].strip()
-                continue
-            parts = line.split()
-            if len(parts) != 8:
-                raise ParseError(f"{path}: line {lineno}: expected 8 values, got {len(parts)}")
-            try:
-                v = [float(p) for p in parts]
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-            generators.append(
-                MobiusTransform(
-                    complex(v[0], v[1]),
-                    complex(v[2], v[3]),
-                    complex(v[4], v[5]),
-                    complex(v[6], v[7]),
-                )
-            )
+    for lineno, line in read_lines(path):
+        if line.startswith("core:"):
+            core_word = line[len("core:") :].strip()
+            continue
+        parts = line.split()
+        if len(parts) != 8:
+            raise ParseError(f"{path}: line {lineno}: expected 8 values, got {len(parts)}")
+        try:
+            v = [parse_number(p) for p in parts]
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+        generators.append(MobiusTransform(*map(complex, v[0::2], v[1::2])))
     if core_word is None:
         raise ParseError(f"{path}: missing 'core: <word>' line")
     return GroupPresentation(tuple(generators), core_word)

@@ -14,7 +14,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, parse_number, read_lines
+from .hypkernel import STRICT_FLOATS
 
 __all__ = [
     "BridgemanResult",
@@ -49,13 +50,13 @@ class ConeProfile:
             raise DomainError("ConeProfile: angles and lengths differ in size")
         if len(angles) < 2:
             raise DomainError("ConeProfile: need at least 2 samples")
+        if not all(map(math.isfinite, angles + lengths)):
+            raise DomainError("ConeProfile: angles and lengths must be finite")
         if abs(angles[0]) > _ENDPOINT_TOL or abs(angles[-1] - _TAU) > _ENDPOINT_TOL:
             raise DomainError("ConeProfile: angles must run from 0 to 2*pi")
         angles = (0.0,) + angles[1:-1] + (_TAU,)
         if any(a2 <= a1 for a1, a2 in zip(angles, angles[1:])):
             raise DomainError("ConeProfile: angles must be strictly increasing")
-        if not all(map(math.isfinite, lengths)):
-            raise DomainError("ConeProfile: lengths must be finite")
         if lengths[0] < 0.0 or any(v <= 0.0 for v in lengths[1:]):
             raise DomainError(
                 "ConeProfile: lengths must be positive (0 allowed only at angle 0)"
@@ -73,6 +74,7 @@ class ConeProfile:
         return cls(tuple(angles), tuple(func(a) for a in angles))
 
 
+@np.errstate(**STRICT_FLOATS)
 def schlafli_delta_v(p: ConeProfile, method: str = "trapezoid") -> float:
     """Volume increase under drilling: half the integral of the core length
     over cone angles in [0, 2*pi], by composite quadrature of the samples.
@@ -143,28 +145,24 @@ def hodgson_kerckhoff_regime(length, radius):
 
 
 def read_profile(path) -> ConeProfile:
-    """Read a two-column CSV ``theta,length``; the header line is optional
-    and '#' lines are ignored."""
+    """Read a two-column CSV ``theta,length`` from ``errors.read_lines``; the
+    header line is optional."""
     angles = []
     lengths = []
     first_data = True
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+    for lineno, line in read_lines(path):
+        parts = [p.strip() for p in line.split(",")]
+        if first_data:
+            first_data = False
+            if parts[:2] == ["theta", "length"]:
                 continue
-            parts = [p.strip() for p in line.split(",")]
-            if first_data:
-                first_data = False
-                if parts[:2] == ["theta", "length"]:
-                    continue
-            if len(parts) != 2:
-                raise ParseError(f"{path}: line {lineno}: expected 2 columns")
-            try:
-                angles.append(float(parts[0]))
-                lengths.append(float(parts[1]))
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+        if len(parts) != 2:
+            raise ParseError(f"{path}: line {lineno}: expected 2 columns")
+        try:
+            angles.append(parse_number(parts[0]))
+            lengths.append(parse_number(parts[1]))
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from exc
     try:
         return ConeProfile(tuple(angles), tuple(lengths))
     except DomainError as exc:

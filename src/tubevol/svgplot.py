@@ -44,8 +44,9 @@ def _bounds(values, pad=0.05):
     lo, hi = min(values), max(values)
     # values equal up to rounding leave no room for tick steps
     if hi - lo <= 1e-12 * max(abs(lo), abs(hi)):
-        lo -= 0.5
-        hi += 0.5
+        half = max(0.5, 1e-9 * max(abs(lo), abs(hi)))  # 0.5 is below rounding past 1e16
+        lo -= half
+        hi += half
     span = hi - lo
     return lo - pad * span, hi + pad * span
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .hypkernel import TubeData, V3, V8, drilling_terms
+from .hypkernel import TubeData, V3, V8, STRICT_FLOATS, drilling_terms
 
 __all__ = [
     "AlternatingDiagram",
@@ -98,6 +98,7 @@ def haken_double_bound(double_gromov_norm: float) -> float:
     return 0.5 * V3 * double_gromov_norm
 
 
+@np.errstate(**STRICT_FLOATS)
 def min_volume_scan(
     v_cusped_min: float, radius: float, l_max: float, steps: int
 ) -> float:

@@ -202,6 +202,18 @@ class TestFigures:
         rows = (out_dir / "fig_dv_over_pil_hist.csv").read_text().splitlines()[1:]
         assert sum(int(row.split(",")[2]) for row in rows) == 2
 
+    def test_one_huge_ratio(self, capsys, tmp_path):
+        # dv/(pi L) is about 3e299, where a unit of padding is below rounding
+        dataset = tmp_path / "huge.csv"
+        dataset.write_text("name,v_fill,v_drill,length,radius\na,1.0,1e300,1.0,1.0\n")
+        out_dir = tmp_path / "figs"
+        code, _, err = run(capsys, "figures", str(dataset), str(out_dir))
+        assert code == 0
+        assert err == ""
+        rows = (out_dir / "fig_dv_over_pil_hist.csv").read_text().splitlines()[1:]
+        assert sum(int(row.split(",")[2]) for row in rows) == 1
+        ET.parse(out_dir / "fig_dv_over_pil.svg")
+
     def test_unwritable_out_dir(self, capsys, tmp_path, data_dir):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")

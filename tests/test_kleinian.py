@@ -279,6 +279,11 @@ class TestLineDistance:
 
     @given(well_separated_lines(), conjugators)
     @settings(max_examples=100)
+    # m sends the subnormal endpoint to about 1e308, where a p overflows
+    @example(
+        lines=(GeodesicLine(1j, 2j), GeodesicLine(2.225073858507203e-309j, 1 + 0j)),
+        m=MobiusTransform(0j, -0.5j, -2j, 0j),
+    )
     def test_invariant_under_mobius(self, lines, m):
         g1, g2 = lines
         d = line_distance(g1, g2).d

@@ -42,6 +42,10 @@ class TestConeProfile:
             ConeProfile((0.0, 3.0), (1.0, 1.0))
         with pytest.raises(DomainError):
             ConeProfile((0.1, TAU), (1.0, 1.0))
+        # a nan endpoint passes a range comparison, so it must not be snapped
+        for angles in ((math.nan, 3.0, TAU), (0.0, 3.0, math.nan), (0.0, math.inf, TAU)):
+            with pytest.raises(DomainError):
+                ConeProfile(angles, (1.0, 1.0, 1.0))
 
     def test_requires_increasing_angles(self):
         with pytest.raises(DomainError):
