@@ -22,7 +22,6 @@ from . import hypkernel
 from . import surgery
 
 __all__ = [
-    "Curve",
     "DatasetStats",
     "FigureSeries",
     "INPUT_COLUMNS",
@@ -100,8 +99,6 @@ class DatasetStats:
     count: int
     mean_ratio: float
     std_ratio: float
-    hist_edges: tuple[float, ...]
-    hist_counts: tuple[int, ...]
     violations: dict[str, int]
     length_range: tuple[float, float]
     radius_range: tuple[float, float]
@@ -254,36 +251,18 @@ def evaluate(table: Table, tol: float = 0.0) -> Table:
     )
 
 
-def _histogram(values: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.histogram`` of ``bins`` equal bins over the range of ``values``;
-    values equal up to rounding, which leave no room for distinct edges, get
-    the unit range numpy gives values that are all equal, or ``bins`` ulps
-    each way where a unit is below rounding."""
-    lo, hi = float(values.min()), float(values.max())
-    if not np.all(np.diff(np.linspace(lo, hi, bins + 1)) > 0.0):
-        pad = max(0.5, bins * float(np.spacing(abs(hi))))
-        lo, hi = lo - pad, hi + pad
-    return np.histogram(values, bins=bins, range=(lo, hi))
-
-
 @np.errstate(**hypkernel.STRICT_FLOATS)
-def statistics(table: Table, bins: int = 40) -> DatasetStats:
+def statistics(table: Table) -> DatasetStats:
     """Sample mean and standard deviation (n-1 denominator) of the ratio
-    delta_v / (pi L), its histogram over the observed range, violation
-    tallies per inequality, and the (L, R) ranges seen, over an evaluated
-    table."""
+    delta_v / (pi L), violation tallies per inequality, and the (L, R)
+    ranges seen, over an evaluated table."""
     if not len(table):
         raise ValueError("statistics: empty table")
-    if bins < 1:
-        raise DomainError("statistics: bins must be >= 1")
     ratios = table["dv_over_pi_l"]
-    counts, edges = _histogram(ratios, bins)
     return DatasetStats(
         count=len(table),
         mean_ratio=float(np.mean(ratios)),
         std_ratio=float(np.std(ratios, ddof=1)) if len(table) > 1 else 0.0,
-        hist_edges=tuple(edges.tolist()),
-        hist_counts=tuple(counts.tolist()),
         violations={
             key: int(np.count_nonzero(~table[_FLAG_FOR_KEY[key]])) for key in VIOLATION_KEYS
         },
@@ -302,29 +281,32 @@ def write_report_csv(table: Table, path) -> None:
 # Figure series
 
 
-@dataclass(frozen=True)
-class Curve:
-    label: str
-    x: np.ndarray
-    y: np.ndarray
+def _histogram(values: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.histogram`` of ``bins`` equal bins over the range of ``values``;
+    values equal up to rounding, which leave no room for distinct edges, get
+    the unit range numpy gives values that are all equal, or ``bins`` ulps
+    each way where a unit is below rounding."""
+    lo, hi = float(values.min()), float(values.max())
+    if not np.all(np.diff(np.linspace(lo, hi, bins + 1)) > 0.0):
+        pad = max(0.5, bins * float(np.spacing(abs(hi))))
+        lo, hi = lo - pad, hi + pad
+    return np.histogram(values, bins=bins, range=(lo, hi))
 
 
 @dataclass
 class FigureSeries:
-    """Data behind one figure: labeled scatter points, overlay curves, and
-    an optional marginal histogram of the y values.  ``extra_columns`` are
-    additional per-point columns carried into the CSV."""
+    """Data behind one figure, held as the tables of its CSV files: each
+    table a dict of equal-length columns in CSV column order, or None where
+    the figure has no such file.  ``points`` is name, x, y and any extra
+    per-point columns; ``curves`` the x grid, then one y column per overlay
+    curve, keyed by its label; ``hist`` bin_left, bin_right and count."""
 
     name: str
     xlabel: str
     ylabel: str
-    scatter_labels: np.ndarray
-    scatter_x: np.ndarray
-    scatter_y: np.ndarray
-    curves: list[Curve]
-    extra_columns: dict[str, np.ndarray]
-    hist_edges: np.ndarray | None = None
-    hist_counts: np.ndarray | None = None
+    points: dict[str, np.ndarray] | None = None
+    curves: dict[str, np.ndarray] | None = None
+    hist: dict[str, np.ndarray] | None = None
 
 
 def figure_series(
@@ -349,11 +331,14 @@ def figure_series(
         raise DomainError("figure_series: bad r_range")
     if curve_points < 2:
         raise DomainError("figure_series: curve_points must be >= 2")
+    if bins < 1:
+        raise DomainError("figure_series: bins must be >= 1")
     grid = np.linspace(lo, hi, curve_points)
     co, cp = hypkernel.drilling_factors(grid)
 
     names, radius = table.names, table["radius"]
-    overshoot, overshoot_old = table["overshoot_perelman"], table["overshoot_old"]
+    by_radius = {"name": names, "x": radius}
+    overshoot = dict(by_radius, y=table["overshoot_perelman"], overshoot_old=table["overshoot_old"])
     zoom = radius >= 0.6
     ratios = table["dv_over_pi_l"]
     counts, edges = _histogram(ratios, bins)
@@ -361,82 +346,49 @@ def figure_series(
 
     figures = [
         FigureSeries(
-            name="fig_ratio_curve",
-            xlabel="tube radius R",
-            ylabel="C_O / C_P",
-            scatter_labels=np.empty(0, dtype=object),
-            scatter_x=np.empty(0),
-            scatter_y=np.empty(0),
-            curves=[Curve("co_over_cp", grid, co / cp)],
-            extra_columns={},
+            "fig_ratio_curve",
+            "tube radius R",
+            "C_O / C_P",
+            curves={"x": grid, "co_over_cp": co / cp},
+        ),
+        FigureSeries("fig_overshoot", "tube radius R", overshoot_ylabel, points=overshoot),
+        FigureSeries(
+            "fig_overshoot_zoom",
+            "tube radius R",
+            overshoot_ylabel,
+            points={key: column[zoom] for key, column in overshoot.items()},
         ),
         FigureSeries(
-            name="fig_overshoot",
-            xlabel="tube radius R",
-            ylabel=overshoot_ylabel,
-            scatter_labels=names,
-            scatter_x=radius,
-            scatter_y=overshoot,
-            curves=[],
-            extra_columns={"overshoot_old": overshoot_old},
+            "fig_b_over_vdrill",
+            "tube radius R",
+            "B / V_drill",
+            points=dict(by_radius, y=table["b_over_vdrill"]),
+            curves={"x": grid, "inv_c_p": 1.0 / cp, "inv_c_o": 1.0 / co},
         ),
         FigureSeries(
-            name="fig_overshoot_zoom",
-            xlabel="tube radius R",
-            ylabel=overshoot_ylabel,
-            scatter_labels=names[zoom],
-            scatter_x=radius[zoom],
-            scatter_y=overshoot[zoom],
-            curves=[],
-            extra_columns={"overshoot_old": overshoot_old[zoom]},
-        ),
-        FigureSeries(
-            name="fig_b_over_vdrill",
-            xlabel="tube radius R",
-            ylabel="B / V_drill",
-            scatter_labels=names,
-            scatter_x=radius,
-            scatter_y=table["b_over_vdrill"],
-            curves=[Curve("inv_c_p", grid, 1.0 / cp), Curve("inv_c_o", grid, 1.0 / co)],
-            extra_columns={},
-        ),
-        FigureSeries(
-            name="fig_dv_over_pil",
-            xlabel="geodesic length L",
-            ylabel="delta_V / (pi L)",
-            scatter_labels=names,
-            scatter_x=table["length"],
-            scatter_y=ratios,
-            curves=[],
-            extra_columns={},
-            hist_edges=edges,
-            hist_counts=counts,
+            "fig_dv_over_pil",
+            "geodesic length L",
+            "delta_V / (pi L)",
+            points={"name": names, "x": table["length"], "y": ratios},
+            hist={"bin_left": edges[:-1], "bin_right": edges[1:], "count": counts},
         ),
     ]
     return {fig.name: fig for fig in figures}
 
 
 def write_figure_csv(fig: FigureSeries, out_dir) -> list[str]:
-    """Write one figure series' CSV files into ``out_dir``; return their paths.
-    ``<name>.csv`` holds the points (name, x, y, extra columns), or the curves
-    of a figure without points; ``<name>_curves.csv`` the curves overlaid on
-    points; ``<name>_hist.csv`` the histogram.  Floats carry 12 digits."""
-    curves = {"x": fig.curves[0].x, **{c.label: c.y for c in fig.curves}} if fig.curves else None
-    files = {}
-    if curves is not None and not len(fig.scatter_x):
-        files[".csv"] = curves
-    else:
-        points = {"name": fig.scatter_labels, "x": fig.scatter_x, "y": fig.scatter_y}
-        files[".csv"] = {**points, **fig.extra_columns}
-        if curves is not None:
-            files["_curves.csv"] = curves
-    if fig.hist_counts is not None:
-        edges, counts = fig.hist_edges, fig.hist_counts
-        files["_hist.csv"] = {"bin_left": edges[:-1], "bin_right": edges[1:], "count": counts}
+    """Write one figure series' tables into ``out_dir``; return their paths.
+    ``<name>.csv`` holds the points, or the curves of a figure without
+    points; ``<name>_curves.csv`` the curves overlaid on points;
+    ``<name>_hist.csv`` the histogram.  Floats carry 12 digits."""
+    files = {".csv": fig.points, "_curves.csv": fig.curves, "_hist.csv": fig.hist}
+    if fig.points is None:
+        files[".csv"] = files.pop("_curves.csv")
     base = os.path.join(out_dir, fig.name)
-    for suffix, columns in files.items():
-        _write_csv(base + suffix, columns)
-    return [base + suffix for suffix in files]
+    paths = {base + suffix: columns for suffix, columns in files.items() if columns is not None}
+    for path, columns in paths.items():
+        _write_csv(path, columns)
+    return list(paths)
 
 
 # ---------------------------------------------------------------------------

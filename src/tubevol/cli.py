@@ -35,6 +35,13 @@ def _fmt(x: float) -> str:
 # messages ("invalid float value")
 _FLOAT, _INT = (functools.partial(parse_number, kind=kind) for kind in (float, int))
 _FLOAT.__name__, _INT.__name__ = "float", "int"
+_FACTORS = ("perelman", "old", "both")
+
+
+def _factor(text: str) -> str:
+    if text not in _FACTORS:
+        raise ValueError(f"{text!r} is not one of {', '.join(_FACTORS)}")
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -42,11 +49,9 @@ _FLOAT.__name__, _INT.__name__ = "float", "int"
 
 
 _CONFIG_TYPES = {
-    "factor": str,
+    "factor": _factor,
     "bins": _INT,
     "max_word_length": _INT,
-    "seed": _INT,
-    "count": _INT,
     "noise_sigma": _FLOAT,
     "r_min": _FLOAT,
     "r_max": _FLOAT,
@@ -137,7 +142,7 @@ def _evaluate_dataset(path: str, tol: float = 0.0) -> census.Table:
 
 def _cmd_verify(args) -> int:
     reports = _evaluate_dataset(args.dataset, args.tol)
-    stats = census.statistics(reports, bins=args.bins)
+    stats = census.statistics(reports)
     report_path = args.report or args.dataset + ".report.csv"
     census.write_report_csv(reports, report_path)
     print(f"report written to {report_path}")
@@ -198,8 +203,8 @@ def _cmd_tube_radius(args) -> int:
 
 def _cmd_surgery(args) -> int:
     profile = surgery.read_profile(args.profile)
-    delta_trap = surgery.schlafli_delta_v(profile, "trapezoid")
-    print(f"delta_v trapezoid  {_fmt(delta_trap)}")
+    result = surgery.bridgeman_check(profile)
+    print(f"delta_v trapezoid  {_fmt(result.delta_v)}")
     try:
         delta_simp = surgery.schlafli_delta_v(profile, "simpson")
         print(f"delta_v simpson    {_fmt(delta_simp)}")
@@ -207,7 +212,6 @@ def _cmd_surgery(args) -> int:
         print("delta_v simpson    n/a (needs uniform spacing and odd sample count)")
     final_length = profile.lengths[-1]
     print(f"nz_estimate        {_fmt(surgery.neumann_zagier_estimate(final_length))}")
-    result = surgery.bridgeman_check(profile)
     print(f"monotone           {'true' if result.monotone else 'false'}")
     print(f"bound delta_v<=piL {'true' if result.bound_holds else 'false'}")
     print(f"pi_l               {_fmt(result.pi_l)}")
@@ -274,14 +278,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     est.add_argument("v_fill", type=_FLOAT)
     est.add_argument("length", type=_FLOAT)
     est.add_argument("radius", type=_FLOAT)
-    est.add_argument("--factor", choices=["perelman", "old", "both"], default="both")
+    est.add_argument("--factor", choices=_FACTORS, default="both")
     est.add_argument("--csv", action="store_true", help="machine-readable output")
     est.set_defaults(handler=_cmd_estimate)
 
     ver = sub.add_parser("verify", help="validate a dataset against every bound")
     ver.add_argument("dataset")
     ver.add_argument("--report", help="report CSV path (default: <dataset>.report.csv)")
-    ver.add_argument("--bins", type=_INT, default=40)
     ver.add_argument(
         "--tol",
         type=_FLOAT,

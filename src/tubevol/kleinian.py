@@ -114,9 +114,9 @@ class MobiusTransform:
 
     def __post_init__(self):
         a, b, c, d = (complex(v) for v in (self.a, self.b, self.c, self.d))
-        if not all(_finite_complex(v) for v in (a, b, c, d)):
-            raise DomainError("MobiusTransform: entries must be finite")
         det = a * d - b * c
+        if not all(_finite_complex(v) for v in (a, b, c, d, det)):
+            raise DomainError("MobiusTransform: entries and determinant must be finite")
         if det == 0:
             raise DomainError("MobiusTransform: matrix is singular")
         if abs(det - 1.0) > _DET_ROUNDING * (abs(a * d) + abs(b * c)):
@@ -268,13 +268,19 @@ class H3Point(NamedTuple):
     t: float
 
 
+def _distance(w1, t1, w2, t2):
+    """Hyperbolic distance between the half-space points (w1, t1) and
+    (w2, t2), scalars or broadcasting arrays: acosh(1 + q) in a form that
+    keeps its precision for small q."""
+    q = (abs(w1 - w2) ** 2 + (t1 - t2) ** 2) / (2.0 * t1 * t2)
+    return 2.0 * np.arcsinh(np.sqrt(0.5 * q))
+
+
 def point_distance(p1: H3Point, p2: H3Point) -> float:
     """Hyperbolic distance between interior points of half-space."""
     if not (p1.t > 0.0 and p2.t > 0.0):
         raise DomainError("point_distance: heights must be positive")
-    q = (abs(p1.w - p2.w) ** 2 + (p1.t - p2.t) ** 2) / (2.0 * p1.t * p2.t)
-    # acosh(1 + q) in a form that keeps its precision for small q
-    return 2.0 * math.asinh(math.sqrt(0.5 * q))
+    return float(_distance(p1.w, p1.t, p2.w, p2.t))
 
 
 @dataclass(frozen=True)
@@ -305,13 +311,15 @@ def _axis_distance(m: np.ndarray) -> np.ndarray:
 
     The image is (b/d, a/c), whose cross-ratio with (0, INFINITY) is
     x = bc/ad, and cosh(eta) = (1 + x)/(1 - x) = (ad + bc)/(ad - bc).  The
-    form 2 asinh(sqrt(bc/(ad - bc))) keeps its precision at short distances
-    and is unchanged by scaling the matrix, so it needs no determinant
-    normalization.
+    form 2 asinh(sqrt(bc/(ad - bc))) keeps its precision at short distances.
+    The matrices have determinant 1: ad - bc is used as computed where it
+    lies within 0.5 of 1, so that it absorbs the rounding of the entries,
+    and is 1 where large entries make the difference cancel.
     """
     a, b, c, d = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
     bc = b * c
-    return 2.0 * np.arcsinh(np.sqrt(bc / (a * d - bc)))
+    det = a * d - bc
+    return 2.0 * np.arcsinh(np.sqrt(bc / np.where(abs(det - 1.0) < 0.5, det, 1.0)))
 
 
 def line_distance(g1: GeodesicLine, g2: GeodesicLine) -> ComplexDistance:
@@ -333,8 +341,9 @@ def line_distance(g1: GeodesicLine, g2: GeodesicLine) -> ComplexDistance:
         return ComplexDistance(0.0, 0.0)
     if u == v:
         raise DomainError("line_distance: degenerate endpoint configuration")
-    # [[v, u], [1, 1]] takes (0, INFINITY) to (u, v)
-    eta = complex(_axis_distance(np.array([[[v, u], [1.0, 1.0]]]))[0])
+    # [[v, u w], [1, w]], w = 1/(v - u), has determinant 1 and takes (0, INFINITY) to (u, v)
+    w = 1.0 / (v - u)
+    eta = complex(_axis_distance(np.array([[[v, u * w], [1.0, w]]]))[0])
     d = max(eta.real, 0.0)
     phi = eta.imag
     if phi <= -math.pi:
@@ -358,9 +367,7 @@ def _pair_distances(g1: GeodesicLine, g2: GeodesicLine, s1: np.ndarray, s2: np.n
     a len(s1) x len(s2) matrix."""
     w1, t1 = _points_on_line(g1, s1)
     w2, t2 = _points_on_line(g2, s2)
-    w1, t1, w2, t2 = w1[:, None], t1[:, None], w2[None, :], t2[None, :]
-    q = (np.abs(w1 - w2) ** 2 + (t1 - t2) ** 2) / (2.0 * t1 * t2)
-    return np.arccosh(1.0 + q)
+    return _distance(w1[:, None], t1[:, None], w2[None, :], t2[None, :])
 
 
 # re-grid window of the oracle's refinement: points per side, the
@@ -481,11 +488,11 @@ _KEY_DIGITS = 9
 
 
 def _word_keys(words: np.ndarray) -> list[bytes]:
-    """One key per matrix of an (n, 2, 2) stack: the entries scaled to
-    determinant 1, signed so that the first entry of largest modulus is
-    positive (real part, then imaginary part), rounded to _KEY_DIGITS."""
+    """One key per matrix of an (n, 2, 2) stack of products of
+    determinant-1 letters: the entries, signed so that the first entry of
+    largest modulus is positive (real part, then imaginary part), rounded to
+    _KEY_DIGITS."""
     flat = words.reshape(-1, 4)
-    flat = flat / np.sqrt(flat[:, 0] * flat[:, 3] - flat[:, 1] * flat[:, 2])[:, None]
     ref = flat[np.arange(len(flat)), np.argmax(np.abs(flat), axis=1)]
     flip = (ref.real < 0) | ((ref.real == 0) & (ref.imag < 0))
     flat = np.where(flip[:, None], -flat, flat)
@@ -508,10 +515,13 @@ def tube_radius_upper_bound(
     word of length <= max_word_length that moves the axis.
 
     Longer words could bring lifts closer, so the result only bounds the
-    radius from above.  Words stabilizing the axis (powers of the core and
-    other axis-preserving elements) are excluded; duplicate matrices are
-    searched once.  Returns radius = inf with witness None when no distinct
-    lift shows up within the search.
+    radius from above.  A word core^j w core^k lies in the double coset
+    <core> w <core> and moves the axis as far as w does, so words that begin
+    with the core word or its inverse are not searched and words that end
+    with either are not measured.  Words stabilizing the axis (powers of
+    the core and other axis-preserving elements) are excluded; duplicate
+    matrices are searched once.  Returns radius = inf with witness None when
+    no distinct lift shows up within the search.
 
     The search runs one word length at a time on arrays, in the frame where
     the core's axis is (0, INFINITY).  Words are kept in breadth-first order
@@ -529,18 +539,24 @@ def tube_radius_upper_bound(
     )
     # letters alternate generator, inverse: a, A, b, B, ...
     inverse_letter = np.arange(len(letters)) ^ 1
+    core = np.array([letters.index(letter) for letter in g.core_word])
+    cores = np.stack([core, inverse_letter[core[::-1]]])  # the core word and its inverse
 
     best_d = math.inf
     best: tuple[int, int] | None = None  # (length - 1, index) of the witness
     seen: set[bytes] = set()
     frontier = np.eye(2, dtype=complex)[None]
-    last = np.array([-1])  # last letter of each frontier word
+    tail = np.full((1, len(core)), -1)  # the last len(core) letters of each frontier word
     levels: list[tuple[np.ndarray, np.ndarray]] = []  # parent and letter per word
     for level in range(max_word_length):
         parent = np.repeat(np.arange(len(frontier)), len(letters))
         letter = np.tile(np.arange(len(letters)), len(frontier))
-        reduced = inverse_letter[letter] != last[parent]
+        reduced = inverse_letter[letter] != tail[parent, -1]
         parent, letter = parent[reduced], letter[reduced]
+        tails = np.column_stack([tail[parent, 1:], letter])
+        at_core = (tails[:, None] == cores).all(axis=2).any(axis=1)
+        if level + 1 == len(core):  # words as long as the core end with it iff they begin with it
+            parent, letter, tails, at_core = (x[~at_core] for x in (parent, letter, tails, at_core))
         words = frontier[parent] @ letter_matrices[letter]
         if not np.isfinite(words).all():
             raise DomainError("tube_radius_upper_bound: word entries overflow")
@@ -549,14 +565,13 @@ def tube_radius_upper_bound(
             if key not in seen:
                 seen.add(key)
                 fresh[i] = True
-        frontier, last = words[fresh], letter[fresh]
-        levels.append((parent[fresh], last))
-        # words that are neither diagonal nor anti-diagonal move the axis
+        frontier, tail = words[fresh], tails[fresh]
+        levels.append((parent[fresh], letter[fresh]))
+        # a word whose off-diagonal or diagonal entries vanish fixes the axis
         mag = np.abs(frontier).reshape(-1, 4)
         tol = _FIXES_AXIS_TOL * mag.max(axis=1)
-        moved = np.flatnonzero(
-            (np.maximum(mag[:, 1], mag[:, 2]) > tol) & (np.maximum(mag[:, 0], mag[:, 3]) > tol)
-        )
+        fixes = np.minimum(mag[:, 1:3].max(axis=1), mag[:, ::3].max(axis=1)) <= tol
+        moved = np.flatnonzero(~(fixes | at_core[fresh]))
         if len(moved):
             d = np.maximum(_axis_distance(frontier[moved]).real, 0.0)
             j = int(np.argmin(d))

@@ -54,12 +54,13 @@ def _bounds(values, pad=0.05):
 def render_figure(fig: FigureSeries, width: int = 640, height: int = 440) -> str:
     """Render one figure series to an SVG document string."""
     # Python floats: arithmetic on numpy scalars point by point is slow
-    scatter_x, scatter_y = fig.scatter_x.tolist(), fig.scatter_y.tolist()
-    xs, ys = list(scatter_x), list(scatter_y)
-    for curve in fig.curves:
-        xs.extend(curve.x.tolist())
-        ys.extend(curve.y.tolist())
-    hist_w = 90 if fig.hist_counts is not None else 0
+    scatter_x = fig.points["x"].tolist() if fig.points else []
+    scatter_y = fig.points["y"].tolist() if fig.points else []
+    curves = {key: column.tolist() for key, column in (fig.curves or {}).items()}
+    curve_x = curves.pop("x", [])
+    xs = scatter_x + curve_x
+    ys = scatter_y + [y for column in curves.values() for y in column]
+    hist_w = 90 if fig.hist is not None else 0
     plot_w = width - _MARGIN_L - _MARGIN_R - hist_w
     plot_h = height - _MARGIN_T - _MARGIN_B
     x_lo, x_hi = _bounds(xs)
@@ -107,24 +108,23 @@ def render_figure(fig: FigureSeries, width: int = 640, height: int = 440) -> str
         f'text-anchor="middle" transform="rotate(-90 14 {_MARGIN_T + plot_h / 2:.1f})">'
         f"{fig.ylabel}</text>"
     )
-    for ci, curve in enumerate(fig.curves):
+    for ci, (label, curve_y) in enumerate(curves.items()):
         color = _CURVE_COLORS[ci % len(_CURVE_COLORS)]
-        points = " ".join(
-            f"{px(x):.2f},{py(y):.2f}" for x, y in zip(curve.x.tolist(), curve.y.tolist())
-        )
+        line = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(curve_x, curve_y))
         parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'
+            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{line}"/>'
         )
         parts.append(
             f'<text x="{_MARGIN_L + plot_w - 6}" y="{_MARGIN_T + 14 + 14 * ci}" '
-            f'font-size="11" text-anchor="end" fill="{color}">{curve.label}</text>'
+            f'font-size="11" text-anchor="end" fill="{color}">{label}</text>'
         )
     for x, y in zip(scatter_x, scatter_y):
         parts.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="2" fill="#333333"/>')
-    if fig.hist_counts is not None:
-        max_count = max(fig.hist_counts) or 1
+    if fig.hist is not None:
+        counts, lows, highs = (fig.hist[key].tolist() for key in ("count", "bin_left", "bin_right"))
+        max_count = max(counts) or 1
         base_x = _MARGIN_L + plot_w + 6
-        for count, lo, hi in zip(fig.hist_counts, fig.hist_edges, fig.hist_edges[1:]):
+        for count, lo, hi in zip(counts, lows, highs):
             if count == 0:
                 continue
             top = py(min(hi, y_hi))

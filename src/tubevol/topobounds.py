@@ -71,7 +71,7 @@ def guts_bound_tiers(g: GutsData) -> tuple[float | None, float]:
     chi_tier = miyamoto_lower_bound(g.euler_characteristic)
     if g.double_gromov_norm is None:
         return None, chi_tier
-    return 0.5 * V3 * g.double_gromov_norm, chi_tier
+    return haken_double_bound(g.double_gromov_norm), chi_tier
 
 
 def guts_lower_bound(g: GutsData) -> float:

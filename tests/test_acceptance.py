@@ -201,12 +201,12 @@ def test_criterion_8_figure_reproduction():
     with criterion(8, "figure series shape contracts"):
         reports = census.evaluate(census.synthesize(2_000, seed=20240405))
         figs = census.figure_series(reports, r_range=(0.05, 3.0))
-        ratio = figs["fig_ratio_curve"].curves[0].y
+        ratio = figs["fig_ratio_curve"].curves["co_over_cp"]
         assert ratio[0] > 2.4
         assert all(a > b for a, b in zip(ratio, ratio[1:]))
         assert ratio[-1] < 1.01
         fig = figs["fig_b_over_vdrill"]
-        for radius, ok, y in zip(reports["radius"], reports["perelman_ok"], fig.scatter_y):
+        for radius, ok, y in zip(reports["radius"], reports["perelman_ok"], fig.points["y"]):
             if ok:
                 assert y >= 1.0 / factor_cp(radius) - 1e-12
 

@@ -217,19 +217,18 @@ class TestStatistics:
 
     def test_histogram_bookkeeping(self):
         reports = evaluate(synthesize(500, seed=21))
-        stats = statistics(reports, bins=17)
-        assert len(stats.hist_counts) == 17
-        assert len(stats.hist_edges) == 18
-        assert sum(stats.hist_counts) == stats.count == 500
+        hist = figure_series(reports, bins=17)["fig_dv_over_pil"].hist
+        assert len(hist["count"]) == len(hist["bin_left"]) == len(hist["bin_right"]) == 17
+        assert hist["bin_left"][1:].tolist() == hist["bin_right"][:-1].tolist()
+        assert sum(hist["count"]) == statistics(reports).count == 500
 
     def test_histogram_of_ratios_equal_to_rounding(self):
         # both ratios are 1/pi up to rounding: no room for 40 distinct bins
         reports = evaluate(table(("a", 2.0, 2.5, 0.5, 0.5), ("b", 3.0, 3.6, 0.6, 0.45)))
-        stats = statistics(reports)
-        assert sum(stats.hist_counts) == 2
-        assert all(lo < hi for lo, hi in zip(stats.hist_edges, stats.hist_edges[1:]))
-        fig = figure_series(reports)["fig_dv_over_pil"]
-        assert fig.hist_counts.tolist() == list(stats.hist_counts)
+        hist = figure_series(reports)["fig_dv_over_pil"].hist
+        assert sum(hist["count"]) == 2
+        assert np.all(hist["bin_left"] < hist["bin_right"])
+        assert hist["bin_left"][1:].tolist() == hist["bin_right"][:-1].tolist()
 
     def test_violation_tallies(self):
         tube = TubeData(0.8, 0.5)
@@ -259,14 +258,14 @@ class TestFigureSeries:
     def test_curve_anchor(self):
         reports = evaluate(synthesize(10, seed=4))
         figs = figure_series(reports, r_range=(HALF_LN3, 3.0))
-        curve = figs["fig_b_over_vdrill"].curves[0]
-        assert curve.label == "inv_c_p"
-        assert curve.y[0] == 0.512
+        curves = figs["fig_b_over_vdrill"].curves
+        assert list(curves) == ["x", "inv_c_p", "inv_c_o"]
+        assert curves["inv_c_p"][0] == 0.512
 
     def test_ratio_curve_shape(self):
         reports = evaluate(synthesize(10, seed=4))
         figs = figure_series(reports)
-        y = figs["fig_ratio_curve"].curves[0].y
+        y = figs["fig_ratio_curve"].curves["co_over_cp"]
         assert y[0] > 2.4
         assert all(a > b for a, b in zip(y, y[1:]))
         assert y[-1] < 1.01
@@ -275,7 +274,7 @@ class TestFigureSeries:
         reports = evaluate(synthesize(400, seed=8))
         figs = figure_series(reports)
         fig = figs["fig_b_over_vdrill"]
-        for radius, ok, y in zip(reports["radius"], reports["perelman_ok"], fig.scatter_y):
+        for radius, ok, y in zip(reports["radius"], reports["perelman_ok"], fig.points["y"]):
             if ok:
                 assert y >= 1.0 / factor_cp(radius) - 1e-12
 
@@ -283,21 +282,21 @@ class TestFigureSeries:
         reports = evaluate(synthesize(300, seed=6))
         figs = figure_series(reports)
         zoom = figs["fig_overshoot_zoom"]
-        assert all(r >= 0.6 for r in zoom.scatter_x)
+        assert all(r >= 0.6 for r in zoom.points["x"])
         expected = sum(1 for r in reports["radius"] if r >= 0.6)
-        assert len(zoom.scatter_x) == expected
+        assert len(zoom.points["x"]) == expected
 
     def test_histogram_attached(self):
         reports = evaluate(synthesize(200, seed=14))
         fig = figure_series(reports, bins=12)["fig_dv_over_pil"]
-        assert sum(fig.hist_counts) == 200
-        assert len(fig.hist_edges) == 13
-        assert fig.scatter_labels[0] == reports.names[0]
+        assert sum(fig.hist["count"]) == 200
+        assert len(fig.hist["bin_left"]) == len(fig.hist["bin_right"]) == 12
+        assert fig.points["name"][0] == reports.names[0]
 
     def test_names_carried(self):
         reports = evaluate(synthesize(5, seed=1))
         figs = figure_series(reports)
-        assert figs["fig_overshoot"].scatter_labels.tolist() == reports.names.tolist()
+        assert figs["fig_overshoot"].points["name"].tolist() == reports.names.tolist()
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -136,6 +136,14 @@ class TestVerify:
         assert run(capsys, "verify", str(dataset))[0] == 3
         assert run(capsys, "verify", str(dataset), "--tol", "1e-9")[0] == 0
 
+    def test_bins_is_not_a_verify_option(self, capsys, tmp_path, data_dir):
+        # verify shows no histogram, so it takes no bin count
+        report = str(tmp_path / "out.csv")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", str(data_dir / "sample20.csv"), "--report", report, "--bins", "50"])
+        assert exc.value.code == 2
+        assert "--bins" in capsys.readouterr().err
+
     def test_report_flag(self, capsys, tmp_path, data_dir):
         report = tmp_path / "out.csv"
         code, _, _ = run(
@@ -214,6 +222,14 @@ class TestFigures:
         assert sum(int(row.split(",")[2]) for row in rows) == 1
         ET.parse(out_dir / "fig_dv_over_pil.svg")
 
+    @pytest.mark.parametrize("bins", ["0", "-2"])
+    def test_bins_below_one_is_domain_error(self, capsys, tmp_path, data_dir, bins):
+        sample = str(data_dir / "sample20.csv")
+        code, out, err = run(capsys, "figures", sample, str(tmp_path / "figs"), "--bins", bins)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("domain error:") and len(err.splitlines()) == 1
+
     def test_unwritable_out_dir(self, capsys, tmp_path, data_dir):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
@@ -285,6 +301,17 @@ class TestTubeRadius:
         assert bounds["1"] == pytest.approx(1.82499145376, rel=1e-11)
         assert bounds["5"] == pytest.approx(bounds["1"], rel=1e-9)
         assert witness.strip("aA")
+
+    def test_long_words_keep_the_length_one_bound(self, capsys, tmp_path):
+        # every a^j b lies at the length-1 distance; measured directly, a^7 b
+        # drifted by 1e-7, a^9 b by 1e-4, and length 11 divided by zero
+        path = tmp_path / "schottky.txt"
+        path.write_text("3 0 8 0 1 0 3 0\n0 3 -10 0 1 0 0 3\ncore: a\n")
+        for k in range(8, 13):
+            code, out, err = run(capsys, "tube-radius", str(path), "--max-word-length", str(k))
+            assert code == 0, err
+            bound = float(out.split("tube radius bound")[1].split()[0])
+            assert bound == pytest.approx(1.82499145376, rel=1e-12), k
 
     def test_non_loxodromic_core(self, capsys, tmp_path):
         path = tmp_path / "parabolic.txt"
@@ -446,6 +473,30 @@ class TestConfig:
         assert code == 1
         assert err == run(capsys, "--config", str(config), "verify", sample, "--report", report)[2]
         assert "bins" in err
+
+    def test_factor_must_be_a_choice(self, capsys, tmp_path):
+        # factor=bogus was taken, and estimate printed neither V_est row
+        config = tmp_path / "run.conf"
+        config.write_text("factor = bogus\n")
+        code, out, err = run(capsys, "--config", str(config), "estimate", "3", "1", "0.5")
+        assert code == 1
+        assert out == ""
+        assert "factor" in err and "bogus" in err
+        config.write_text("factor = old\n")
+        code, out, _ = run(capsys, "--config", str(config), "estimate", "3", "1", "0.5")
+        assert code == 0
+        assert "V_est_old" in out and "V_est_perelman" not in out
+
+    @pytest.mark.parametrize("key", ["seed", "count"])
+    def test_synthesize_positionals_are_not_keys(self, capsys, tmp_path, key):
+        # synthesize requires its count and seed on the command line, so a
+        # config value for either could never take effect
+        config = tmp_path / "run.conf"
+        config.write_text(f"{key} = 5\n")
+        out = str(tmp_path / "s.csv")
+        code, _, err = run(capsys, "--config", str(config), "synthesize", "5", "1", out)
+        assert code == 1
+        assert key in err
 
     def test_unknown_key_rejected(self, capsys, tmp_path, data_dir):
         config = tmp_path / "run.conf"

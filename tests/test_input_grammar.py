@@ -173,6 +173,13 @@ def test_profile(lengths, angles, header, bom, bad_byte):
 @example(
     generators=[["2", "0", "0", "0", "0", "0", "0.5", "0"]], core="a", bom=False, bad_byte=5
 )
+# ad - bc overflowed to nan, which passed every determinant check
+@example(
+    generators=[["1e308", "1e308", "1e308", "1e308", "5e-324", "0.0", "1e308", "1e308"]],
+    core="a",
+    bom=False,
+    bad_byte=None,
+)
 def test_presentation(generators, core, bom, bad_byte):
     lines = [" ".join(entries) for entries in generators] + [f"core: {core}"]
     outcome = _run_file("group.txt", lines, bom, bad_byte, ["tube-radius", "{path}"])

@@ -69,6 +69,13 @@ class TestMobiusTransform:
         with pytest.raises(DomainError):
             MobiusTransform(math.inf, 0.0, 0.0, 1.0)
 
+    def test_overflowing_determinant_rejected(self):
+        # ad - bc is nan: no comparison with it holds, so neither the
+        # normalization nor its check fired
+        big = complex(1e308, 1e308)
+        with pytest.raises(DomainError):
+            MobiusTransform(big, big, 5e-324, big)
+
     def test_inverse_composes_to_identity(self):
         m = MobiusTransform(1.0 + 2.0j, 0.5, -0.25j, 1.0)
         prod = m @ m.inverse()
@@ -324,6 +331,12 @@ class TestLineDistanceOracle:
         with pytest.raises(DomainError):
             line_distance_oracle(GeodesicLine(0j, INFINITY), GeodesicLine(1.0, 2.0), grid=1)
 
+    @pytest.mark.parametrize("d", [1e-9, 1e-7])
+    def test_concentric_lines_at_short_distance(self, d):
+        # acosh(1 + q) rounded the distance 1e-9 to 0 and was 1% off at 1e-7
+        g1, g2 = GeodesicLine(-1.0, 1.0), GeodesicLine(-math.exp(d), math.exp(d))
+        assert line_distance_oracle(g1, g2) == pytest.approx(line_distance(g1, g2).d, rel=1e-6)
+
 
 class TestWordEvaluation:
     def test_letters_and_inverses(self):
@@ -413,6 +426,16 @@ class TestTubeRadius:
         moved = GroupPresentation((c @ a @ c.inverse(), c @ b @ c.inverse()), "a")
         conj = tube_radius_upper_bound(moved, 2)
         assert conj.radius == pytest.approx(base.radius, abs=1e-9)
+
+    def test_figure_eight_knot_group(self, data_dir):
+        # no longer word reaches a closer lift than b in this discrete group;
+        # words with a power of the core inside drifted 1.6e-13 by length 9
+        pres = read_presentation(data_dir / "figure_eight.txt")
+        first = tube_radius_upper_bound(pres, 1)
+        assert first.radius == pytest.approx(0.211824465097, rel=1e-11)
+        for k in range(2, 11):
+            radius = tube_radius_upper_bound(pres, k).radius
+            assert radius == pytest.approx(first.radius, rel=1e-13, abs=0.0), k
 
     def test_validation(self):
         with pytest.raises(DomainError):

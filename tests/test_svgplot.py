@@ -19,7 +19,7 @@ class TestRenderFigure:
     def test_scatter_points_drawn(self):
         figs = all_figures()
         svg = render_figure(figs["fig_overshoot"])
-        assert svg.count("<circle") == len(figs["fig_overshoot"].scatter_x)
+        assert svg.count("<circle") == len(figs["fig_overshoot"].points["x"])
 
     def test_curves_drawn_with_legend(self):
         figs = all_figures()
@@ -30,7 +30,7 @@ class TestRenderFigure:
     def test_histogram_bars(self):
         figs = all_figures()
         svg = render_figure(figs["fig_dv_over_pil"])
-        nonzero_bins = sum(1 for c in figs["fig_dv_over_pil"].hist_counts if c)
+        nonzero_bins = sum(1 for c in figs["fig_dv_over_pil"].hist["count"] if c)
         # one frame rect, one background rect, plus a bar per occupied bin
         assert svg.count("<rect") == 2 + nonzero_bins
 
