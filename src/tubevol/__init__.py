@@ -3,12 +3,11 @@ hyperbolic 3-manifolds, with a dataset verification pipeline."""
 
 from . import census, hypkernel, kleinian, surgery, svgplot, topobounds
 from .errors import DomainError, IngestError, NonLoxodromicError, ParseError
-from .hypkernel import CONSTANTS, Factor, TubeData, V3, V8, VolumePair
+from .hypkernel import Factor, TubeData, V3, V8, VolumePair
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CONSTANTS",
     "DomainError",
     "Factor",
     "IngestError",

@@ -401,17 +401,11 @@ def _within_sharp_bound(v_fill, v_drill, length, radius) -> np.ndarray:
     return v_drill <= hypkernel.drilling_estimates(v_fill, length, radius)[4]
 
 
-def synthesize(
-    n: int,
-    seed: int,
-    noise_sigma: float = 0.017,
-    l_range: tuple[float, float] = (0.3, 2.5),
-    r_range: tuple[float, float] = (0.4, 1.6),
-) -> Table:
+def synthesize(n: int, seed: int, noise_sigma: float = 0.017) -> Table:
     """Deterministically generate a table of ``n`` drill records.
 
-    Lengths and radii are uniform over their ranges and filled volumes
-    uniform over [0.94, 6], rejecting geometry where the embedded tube
+    Lengths are uniform over [0.3, 2.5], radii over [0.4, 1.6] and filled
+    volumes over [0.94, 6], rejecting geometry where the embedded tube
     could not fit (tube volume exceeding the filled volume).  The volume
     increase is pi*L*(1/2 + eps) with eps a 3-sigma-clipped normal; any
     candidate violating the sharp drilled-volume bound is resampled, so the
@@ -424,17 +418,14 @@ def synthesize(
         raise DomainError("synthesize: seed must be >= 0")
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
         raise DomainError("synthesize: noise_sigma must be >= 0")
-    for label, (lo, hi) in (("l_range", l_range), ("r_range", r_range)):
-        if not (0.0 < lo < hi and math.isfinite(hi)):
-            raise DomainError(f"synthesize: degenerate {label}")
 
     rng = np.random.default_rng(seed)
     batches = []
     count = 0
     while count < n:
         m = max(2 * (n - count), 1024)
-        length = rng.uniform(l_range[0], l_range[1], m)
-        radius = rng.uniform(r_range[0], r_range[1], m)
+        length = rng.uniform(0.3, 2.5, m)
+        radius = rng.uniform(0.4, 1.6, m)
         v_fill = rng.uniform(0.94, 6.0, m)
         if noise_sigma > 0.0:
             eps = np.clip(

@@ -5,9 +5,10 @@ verify (run a dataset through the bound checks), figures (emit the figure
 series as CSV and SVG), tube-radius (word search over a group presentation),
 surgery (cone-profile volume predictors), synthesize (generate a dataset).
 
-Exit codes: 0 success, 1 input error, 2 domain error, 3 verification
-failure.  Numeric output is printed with 12 significant digits.  A config
-file of key=value lines may supply defaults; flags override it.
+Exit codes: 0 success, 1 input error, 2 domain error (also a count that
+needs more memory than the machine has), 3 verification failure.  Numeric
+output is printed with 12 significant digits.  A config file of key=value
+lines may supply defaults; flags override it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 
 from . import census, hypkernel, kleinian, surgery, svgplot, topobounds
 from .errors import DomainError, IngestError, ParseError, parse_number, read_lines
-from .hypkernel import Factor, TubeData
+from .hypkernel import TubeData
 
 __all__ = ["main"]
 
@@ -92,16 +93,15 @@ def _cmd_estimate(args) -> int:
         ("tube_boundary_area", hypkernel.tube_boundary_area(tube)),
         ("mean_curvature", hypkernel.mean_curvature(tube.radius)),
         ("horocusp_volume", hypkernel.horocusp_volume(tube)),
-        ("B", hypkernel.bound_base_B(v_fill, tube)),
-        ("C_O", hypkernel.factor_co(tube.radius)),
-        ("C_P", hypkernel.factor_cp(tube.radius)),
     ]
+    b, c_o, c_p, v_old, v_perelman = (
+        float(x[0]) for x in hypkernel.drilling_estimates(v_fill, tube.length, tube.radius)
+    )
+    rows += [("B", b), ("C_O", c_o), ("C_P", c_p)]
     if args.factor in ("old", "both"):
-        rows.append(("V_est_old", hypkernel.drilled_volume_bound(v_fill, tube, Factor.OLD)))
+        rows.append(("V_est_old", v_old))
     if args.factor in ("perelman", "both"):
-        rows.append(
-            ("V_est_perelman", hypkernel.drilled_volume_bound(v_fill, tube, Factor.PERELMAN))
-        )
+        rows.append(("V_est_perelman", v_perelman))
     if args.csv:
         print(",".join(name for name, _ in rows))
         print(",".join(_fmt(value) for _, value in rows))
@@ -363,6 +363,11 @@ def main(argv=None) -> int:
     except (DomainError, OverflowError, FloatingPointError) as exc:
         # inputs whose results overflow binary64 are outside the domain too
         print(f"domain error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # a count whose arrays the machine cannot hold is outside the domain
+        reason = str(exc) or "an allocation failed"
+        print(f"domain error: out of memory: {reason}", file=sys.stderr)
         return 2
 
 

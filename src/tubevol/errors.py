@@ -1,8 +1,9 @@
 """Shared exception types and the input grammar every reader follows.
 
 Exit-code mapping used by the CLI: parse/ingest/I-O problems are input
-errors (exit 1), DomainError and subclasses are domain errors (exit 2),
-verification failures are reported by return value (exit 3).
+errors (exit 1); DomainError and its subclasses, and a MemoryError, are
+domain errors (exit 2); verification failures are reported by return value
+(exit 3).
 """
 
 

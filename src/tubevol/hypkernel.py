@@ -18,8 +18,6 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
-    "Constants",
-    "CONSTANTS",
     "Factor",
     "STRICT_FLOATS",
     "TubeData",
@@ -46,72 +44,30 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Lobachevsky function
 
-# Coefficients of the integrated series for -int_0^s log(sin t / t) dt.
-# log(sin t / t) = -sum_{n>=1} zeta(2n) t^(2n) / (n pi^(2n)), and
-# zeta(2n)/pi^(2n) is rational, so term n is s^(2n+1)/(n (2n+1)) times it.
+# Coefficients z_n / (n (2n + 1)), n = 1..24, of the series below, where
+# z_n = zeta(2n) / pi^(2n) is rational: x cot x = 1 - 2 sum_{n>=1} z_n x^(2n).
+# On [0, pi/2] term n is below 4^-n, so 24 terms reach rounding.
 _SERIES_COEFFS = (
-    1.0 / 18.0,
-    1.0 / 900.0,
-    1.0 / 19845.0,
-    1.0 / 340200.0,
-    1.0 / 5145525.0,
-    691.0 / 49804004250.0,
+    0.05555555555555555, 0.0011111111111111111, 5.039052658100277e-05,
+    2.9394473838918285e-06, 1.9434362868706303e-07, 1.3874386415425623e-08,
+    1.0440927548511323e-09, 8.167135584551352e-11, 6.581241671581577e-12,
+    5.429797905855281e-13, 4.5664886559293725e-14, 3.9019511366374804e-15,
+    3.379062307725592e-16, 2.9599033661708997e-17, 2.6184896805573514e-18,
+    2.3365234891261436e-19, 2.100812837917715e-20, 1.9016489757812576e-21,
+    1.73175571544037e-22, 1.585591247569346e-23, 1.4588733690007642e-24,
+    1.3482499313926238e-25, 1.2510658289125953e-26, 1.165195473796748e-27,
 )
 
-# Integrate the log singularity at t=0 by series below this point.
-_SPLIT = 0.1
 
-
-def _series_piece(s: float) -> float:
-    # -int_0^s log(2t) dt - int_0^s log(sin t / t) dt, valid for s <= _SPLIT
-    if s == 0.0:
-        return 0.0
-    head = s - s * math.log(2.0 * s)
-    s2 = s * s
-    p = s2 * s
-    tail = 0.0
-    for c in _SERIES_COEFFS:
-        tail += c * p
-        p *= s2
-    return head + tail
-
-
-def _adaptive_simpson(f, a, b, tol):
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_split(f, a, b, fa, fb, m, fm, whole, tol, 48)
-
-
-def _simpson_split(f, a, b, fa, fb, m, fm, whole, tol, depth):
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    err = left + right - whole
-    if depth <= 0 or abs(err) <= 15.0 * tol:
-        return left + right + err / 15.0
-    half = 0.5 * tol
-    return _simpson_split(f, a, m, fa, fm, lm, flm, left, half, depth - 1) + _simpson_split(
-        f, m, b, fm, fb, rm, frm, right, half, depth - 1
-    )
-
-
-def lobachevsky(theta: float, tol: float = 1e-12) -> float:
+def lobachevsky(theta: float) -> float:
     """Lobachevsky function Lambda(theta) = -int_0^theta log|2 sin t| dt.
 
-    Accurate to about ``tol`` absolute.  The argument is first reduced using
-    oddness and pi-periodicity to [0, pi/2]; the logarithmic singularity at
-    t=0 is integrated in closed form plus a rapidly convergent series, and
-    the smooth remainder by adaptive Simpson quadrature.
+    The argument is reduced using oddness and pi-periodicity to x in
+    [0, pi/2], where Lambda(x) = x - x log(2x) + sum_{n>=1} z_n x^(2n+1) /
+    (n (2n+1)) with z_n = zeta(2n) / pi^(2n) (Milnor).
     """
     if not math.isfinite(theta):
         raise DomainError("lobachevsky: theta must be finite")
-    if not 0.0 < tol <= 1e-6:
-        raise DomainError("lobachevsky: tol must be in (0, 1e-6]")
     # Lambda(theta + k*pi) = Lambda(theta); reduce to x in [-pi/2, pi/2]
     x = theta - math.pi * round(theta / math.pi)
     sign = 1.0
@@ -119,35 +75,18 @@ def lobachevsky(theta: float, tol: float = 1e-12) -> float:
         sign, x = -1.0, -x
     if x == 0.0:
         return 0.0
-    s = min(x, _SPLIT)
-    value = _series_piece(s)
-    if x > s:
-        value += _adaptive_simpson(lambda t: -math.log(2.0 * math.sin(t)), s, x, tol)
-    return sign * value
+    x2 = x * x
+    tail = 0.0
+    for c in reversed(_SERIES_COEFFS):
+        tail = tail * x2 + c
+    return sign * (x - x * math.log(2.0 * x) + tail * x2 * x)
 
 
-# ---------------------------------------------------------------------------
-# Constants
-
-
-@dataclass(frozen=True)
-class Constants:
-    """Volumes of the regular ideal tetrahedron (v3) and octahedron (v8)."""
-
-    v3: float
-    v8: float
-
-
-def _compute_constants() -> Constants:
-    return Constants(
-        v3=3.0 * lobachevsky(math.pi / 3.0, 1e-13),
-        v8=8.0 * lobachevsky(math.pi / 4.0, 1e-13),
-    )
-
-
-CONSTANTS = _compute_constants()
-V3 = CONSTANTS.v3
-V8 = CONSTANTS.v8
+# Volumes of the regular ideal tetrahedron, 3 Lambda(pi/3), and octahedron,
+# 8 Lambda(pi/4), correctly rounded (the series gives 3 Lambda(pi/3) one ulp
+# above).
+V3 = 1.0149416064096537
+V8 = 3.663862376708876
 
 
 # ---------------------------------------------------------------------------

@@ -566,6 +566,8 @@ def tube_radius_upper_bound(
                 seen.add(key)
                 fresh[i] = True
         frontier, tail = words[fresh], tails[fresh]
+        if not len(frontier):  # longer words extend fresh ones only, so none is left
+            break
         levels.append((parent[fresh], letter[fresh]))
         # a word whose off-diagonal or diagonal entries vanish fixes the axis
         mag = np.abs(frontier).reshape(-1, 4)

@@ -14,6 +14,8 @@ from .census import FigureSeries
 __all__ = ["render_figure"]
 
 _CURVE_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
+_WIDTH = 640
+_HEIGHT = 440
 _MARGIN_L = 64
 _MARGIN_R = 16
 _MARGIN_T = 20
@@ -51,7 +53,7 @@ def _bounds(values, pad=0.05):
     return lo - pad * span, hi + pad * span
 
 
-def render_figure(fig: FigureSeries, width: int = 640, height: int = 440) -> str:
+def render_figure(fig: FigureSeries) -> str:
     """Render one figure series to an SVG document string."""
     # Python floats: arithmetic on numpy scalars point by point is slow
     scatter_x = fig.points["x"].tolist() if fig.points else []
@@ -61,8 +63,8 @@ def render_figure(fig: FigureSeries, width: int = 640, height: int = 440) -> str
     xs = scatter_x + curve_x
     ys = scatter_y + [y for column in curves.values() for y in column]
     hist_w = 90 if fig.hist is not None else 0
-    plot_w = width - _MARGIN_L - _MARGIN_R - hist_w
-    plot_h = height - _MARGIN_T - _MARGIN_B
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R - hist_w
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
     x_lo, x_hi = _bounds(xs)
     y_lo, y_hi = _bounds(ys)
 
@@ -73,9 +75,9 @@ def render_figure(fig: FigureSeries, width: int = 640, height: int = 440) -> str
         return _MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="black" stroke-width="1"/>',
     ]
@@ -100,7 +102,7 @@ def render_figure(fig: FigureSeries, width: int = 640, height: int = 440) -> str
             f'text-anchor="end">{t:g}</text>'
         )
     parts.append(
-        f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{height - 12}" font-size="12" '
+        f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 12}" font-size="12" '
         f'text-anchor="middle">{fig.xlabel}</text>'
     )
     parts.append(

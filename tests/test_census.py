@@ -322,9 +322,9 @@ class TestSynthesize:
         assert np.all(np.abs(reports["dv_over_pi_l"] - 0.5) < 5e-15)
 
     def test_ranges_respected(self):
-        records = synthesize(300, seed=17, l_range=(0.5, 0.9), r_range=(0.45, 0.8))
-        assert np.all((0.5 <= records["length"]) & (records["length"] <= 0.9))
-        assert np.all((0.45 <= records["radius"]) & (records["radius"] <= 0.8))
+        records = synthesize(300, seed=17)
+        assert np.all((0.3 <= records["length"]) & (records["length"] <= 2.5))
+        assert np.all((0.4 <= records["radius"]) & (records["radius"] <= 1.6))
         assert np.all((0.94 <= records["v_fill"]) & (records["v_fill"] <= 6.0))
 
     def test_always_satisfies_sharp_bound(self):
@@ -358,8 +358,6 @@ class TestSynthesize:
             synthesize(0, seed=1)
         with pytest.raises(DomainError):
             synthesize(5, seed=1, noise_sigma=-0.1)
-        with pytest.raises(DomainError):
-            synthesize(5, seed=1, l_range=(2.0, 1.0))
         with pytest.raises(DomainError):
             synthesize(10, seed=-1)
 

@@ -520,3 +520,25 @@ def test_import_needs_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# 10^15 float64 values are 7 PiB, beyond the address space, so the
+# allocation fails whatever the overcommit policy is
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--min-scan", "2", "0.5", "1", "--steps", "1000000000000000"],
+        ["figures", "SAMPLE", "OUT", "--curve-points", "1000000000000000"],
+        ["figures", "SAMPLE", "OUT", "--bins", "1000000000000000"],
+        ["synthesize", "1000000000000000", "1", "OUT"],
+    ],
+    ids=["steps", "curve-points", "bins", "synthesize"],
+)
+def test_count_beyond_memory_is_domain_error(capsys, tmp_path, data_dir, argv):
+    out = tmp_path / "out"
+    argv = [{"SAMPLE": str(data_dir / "sample20.csv"), "OUT": str(out)}.get(a, a) for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert "out of memory" in err and "Traceback" not in err
+    assert not out.exists()

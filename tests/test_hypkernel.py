@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from tubevol.errors import DomainError
+from tubevol import hypkernel
 from tubevol.hypkernel import (
-    CONSTANTS,
     Factor,
     TubeData,
     V3,
@@ -89,19 +90,36 @@ class TestLobachevsky:
         with pytest.raises(DomainError):
             lobachevsky(theta)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-9, 1e-5, 1.0])
-    def test_bad_tol_rejected(self, tol):
-        with pytest.raises(DomainError):
-            lobachevsky(1.0, tol)
+    # Lambda(pi/2) = 0, and Lambda(1e-300) is mpmath's clsin(2, 2e-300)/2
+    @pytest.mark.parametrize(
+        "theta,expected",
+        sorted(LOB_REFERENCE.items())
+        + [(math.pi / 2.0, 0.0), (1e-300, 6.91082380717653777188817956547e-298)],
+    )
+    def test_series_reaches_rounding(self, theta, expected):
+        assert abs(lobachevsky(theta) - expected) <= 1e-15
+
+    def test_series_coefficients(self):
+        # x cot x = (x cos x) / sin x = 1 - 2 sum z_n x^(2n), divided as
+        # power series in x^2 with exact rationals
+        terms = len(hypkernel._SERIES_COEFFS)
+        cos = [Fraction((-1) ** k, math.factorial(2 * k)) for k in range(terms + 1)]
+        sinc = [Fraction((-1) ** k, math.factorial(2 * k + 1)) for k in range(terms + 1)]
+        quotient = [Fraction(1)]
+        for n in range(1, terms + 1):
+            quotient.append(cos[n] - sum(sinc[k] * quotient[n - k] for k in range(1, n + 1)))
+        expected = [float(-quotient[n] / 2 / (n * (2 * n + 1))) for n in range(1, terms + 1)]
+        assert list(hypkernel._SERIES_COEFFS) == expected
+        assert expected[:2] == [1.0 / 18.0, 1.0 / 900.0]  # zeta(2) = pi^2/6, zeta(4) = pi^4/90
 
 
 class TestConstants:
+    # the literals parse to the nearest binary64, so these check correct rounding
     def test_v3(self):
-        assert V3 == pytest.approx(V3_REFERENCE, abs=1e-12)
-        assert CONSTANTS.v3 == V3
+        assert V3 == V3_REFERENCE
 
     def test_v8(self):
-        assert V8 == pytest.approx(V8_REFERENCE, abs=1e-12)
+        assert V8 == V8_REFERENCE
 
     def test_printed_digits(self):
         assert f"{2.0 * V3:.6g}" == "2.02988"

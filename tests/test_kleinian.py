@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tubevol import kleinian
 from tubevol.errors import DomainError, NonLoxodromicError, ParseError
 from tubevol.kleinian import (
     INFINITY,
@@ -382,6 +383,23 @@ class TestTubeRadius:
         result = tube_radius_upper_bound(pres, 5)
         assert math.isinf(result.radius)
         assert result.witness is None
+
+    def test_search_stops_at_an_empty_frontier(self, data_dir, monkeypatch):
+        # the only words are powers of the core, so no level after the first
+        # holds a word; a search that kept going would run for hours
+        calls = []
+
+        def word_keys(words):
+            calls.append(len(words))
+            if len(calls) > 2:
+                raise AssertionError("the search went on past an empty level")
+            return real_word_keys(words)
+
+        real_word_keys = kleinian._word_keys
+        monkeypatch.setattr(kleinian, "_word_keys", word_keys)
+        pres = read_presentation(data_dir / "single_gen.txt")
+        assert tube_radius_upper_bound(pres, 10**9) == (math.inf, None)
+        assert len(calls) <= 2
 
     def test_nonincreasing_in_word_length(self):
         pres = self.fixture_presentation()
