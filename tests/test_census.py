@@ -22,6 +22,11 @@ from tubevol.errors import DomainError, IngestError
 from tubevol.hypkernel import Factor, TubeData, drilled_volume_bound, factor_cp
 
 HALF_LN3 = 0.5 * math.log(3.0)
+# floats whose %.12g text is easy to get wrong: subnormal, huge, signed zero
+GOLDEN_FLOATS = [
+    1e-300, 1e300, 5e-324, -0.0, 0.5, 1.0 / 3.0, math.pi, -2.5e-7,
+    123456789012.5, 1e16, math.inf, -math.inf, math.nan,
+]  # fmt: skip
 
 
 def table(*rows) -> Table:
@@ -375,3 +380,25 @@ class TestReportCsv:
         assert set(first[-5:]) <= {"true", "false"}
         # floats at 12 significant digits
         assert first[1] == f"{reports['b'][0]:.12g}"
+
+    def test_report_bytes_pinned(self, tmp_path, data_dir):
+        # all 32 combinations of the five verdicts, beside floats at the
+        # edges of %.12g, against bytes written before the writer was tuned
+        n = 32
+        verdicts = REPORT_COLUMNS[-5:]
+        columns = {
+            key: np.array([GOLDEN_FLOATS[(i + j) % len(GOLDEN_FLOATS)] for i in range(n)])
+            for j, key in enumerate(REPORT_COLUMNS[1:-5])
+        }
+        for j, key in enumerate(verdicts):
+            columns[key] = (np.arange(n) >> (len(verdicts) - 1 - j)) & 1 == 1
+        names = np.array([f"{('m_', 'é', 'c101_')[i % 3]}{i:02d}" for i in range(n)], dtype=object)
+        path = tmp_path / "report.csv"
+        write_report_csv(Table(names, columns), path)
+        assert path.read_bytes() == (data_dir / "report_golden.csv").read_bytes()
+
+    def test_empty_figure_bytes_pinned(self, tmp_path):
+        # no radius reaches the zoom's 0.6, so its CSV is the header alone
+        figs = figure_series(evaluate(table(("m1", 1.0, 2.0, 0.5, 0.3))))
+        (path,) = census.write_figure_csv(figs["fig_overshoot_zoom"], tmp_path)
+        assert open(path, "rb").read() == b"name,x,y,overshoot_old\n"
