@@ -27,21 +27,35 @@ class IngestError(ValueError):
         super().__init__("; ".join(self.diagnostics))
 
 
+# characters per block of read_blocks, about 64 KB of ASCII text
+_BLOCK_CHARS = 1 << 16
+
+
+def read_blocks(path):
+    """Yield the raw lines of a UTF-8 file, with or without a byte-order
+    mark, in lists of about ``_BLOCK_CHARS`` characters, split where
+    iterating over the file splits them; bytes that are not UTF-8 come
+    through as lone surrogates, which ``str.encode`` rejects."""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
+        while block := handle.readlines(_BLOCK_CHARS):
+            yield block
+
+
 def read_lines(path):
     """Yield (line number, stripped line) for each line of a UTF-8 file,
     with or without a byte-order mark, that is neither blank nor a '#'
     comment; bytes that are not UTF-8 are a ParseError naming their line."""
-    # undecodable bytes become lone surrogates, which only non-ASCII lines hold
-    with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if not line.isascii():
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise ParseError(f"{path}: line {lineno}: not UTF-8 text") from None
-            if line and not line.startswith("#"):
-                yield lineno, line
+    lines = (raw for block in read_blocks(path) for raw in block)
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        # undecodable bytes are lone surrogates, which only non-ASCII lines hold
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError(f"{path}: line {lineno}: not UTF-8 text") from None
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
 def parse_number(text: str, kind=float):

@@ -59,17 +59,27 @@ _SERIES_COEFFS = (
 )
 
 
+# pi as three parts (Cody-Waite), summing to pi within 2e-31: the first
+# two carry 24 bits each, so k times either is exact for |k| < 2^29
+_PI_PARTS = (3.1415927410125732, -8.742277657347586e-08, -3.4302489988857658e-15)
+
+
 def lobachevsky(theta: float) -> float:
     """Lobachevsky function Lambda(theta) = -int_0^theta log|2 sin t| dt.
 
     The argument is reduced using oddness and pi-periodicity to x in
     [0, pi/2], where Lambda(x) = x - x log(2x) + sum_{n>=1} z_n x^(2n+1) /
-    (n (2n+1)) with z_n = zeta(2n) / pi^(2n) (Milnor).
+    (n (2n+1)) with z_n = zeta(2n) / pi^(2n) (Milnor).  The result is
+    accurate to rounding for |theta| < 2^29 pi (about 1.7e9); beyond that
+    the reduction loses bits as |theta| grows (error about 6e-6 at 1e12).
     """
     if not math.isfinite(theta):
         raise DomainError("lobachevsky: theta must be finite")
     # Lambda(theta + k*pi) = Lambda(theta); reduce to x in [-pi/2, pi/2]
-    x = theta - math.pi * round(theta / math.pi)
+    k = round(theta / math.pi)
+    x = theta
+    for part in _PI_PARTS:
+        x -= k * part
     sign = 1.0
     if x < 0.0:
         sign, x = -1.0, -x

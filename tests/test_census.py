@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tubevol import census
+from tubevol import census, errors
 from tubevol.census import (
     INPUT_COLUMNS,
     REPORT_COLUMNS,
@@ -114,6 +114,23 @@ class TestIngest:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             ingest(tmp_path / "nope.csv")
+
+    def test_census_file_needs_no_row_pass(self, tmp_path, monkeypatch):
+        # a file shaped like a generated census (a BOM, CRLF, a leading and a
+        # mid-file comment, a blank line, names with '_') over many blocks
+        # is read by the block pass alone: the per-row pass must not run
+        records = synthesize(600, seed=3)
+        values = zip(*(records[key].tolist() for key in INPUT_COLUMNS))
+        rows = [f"c003_{i:06d}," + ",".join(map(repr, row)) for i, row in enumerate(values)]
+        lines = ["# generated census", census._CSV_HEADER, *rows[:300], "# mid", "", *rows[300:]]
+        path = tmp_path / "census.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + "".join(line + "\r\n" for line in lines).encode())
+        monkeypatch.setattr(census, "_row_diagnostics", pytest.fail)
+        monkeypatch.setattr(errors, "_BLOCK_CHARS", 4096)
+        assert len(list(errors.read_blocks(path))) > 2
+        back = ingest(path)
+        assert back.names.tolist() == [f"c003_{i:06d}" for i in range(len(records))]
+        assert all(np.array_equal(back[key], records[key]) for key in INPUT_COLUMNS)
 
     def test_round_trip_bit_identical(self, tmp_path):
         records = synthesize(25, seed=11)

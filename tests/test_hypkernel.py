@@ -99,6 +99,22 @@ class TestLobachevsky:
     def test_series_reaches_rounding(self, theta, expected):
         assert abs(lobachevsky(theta) - expected) <= 1e-15
 
+    # mpmath clsin(2, 2 theta) / 2 at 50 digits; binary64 pi alone as the
+    # period left errors of 8.8e-15, 2.9e-11 and 1.4e-9 at 1e3, 1e6, 1e9
+    @pytest.mark.parametrize(
+        "theta,expected",
+        [
+            (1e3, 0.377119364266551698198759754008),
+            (1e6, -0.479999297140839192888855145071),
+            (314159265.0, -0.480501398165126794732270392871),
+            (1e9, 0.505063697052423327127971603527),
+            (1.6e9, -0.47032587148703168426492845199),
+        ],
+    )
+    def test_large_arguments_reach_rounding(self, theta, expected):
+        assert abs(lobachevsky(theta) - expected) <= 1e-16
+        assert abs(lobachevsky(-theta) + expected) <= 1e-16
+
     def test_series_coefficients(self):
         # x cot x = (x cos x) / sin x = 1 - 2 sum z_n x^(2n), divided as
         # power series in x^2 with exact rationals

@@ -16,11 +16,13 @@ import pathlib
 import re
 import tempfile
 import warnings
+from unittest import mock
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tubevol import errors
+from tubevol import census, errors
 from tubevol.cli import main
 
 SAMPLE = str(pathlib.Path(__file__).parent / "data" / "sample20.csv")
@@ -214,6 +216,119 @@ def test_estimate_arguments(values):
 @example(values=["2", "0.5", "1e306"])
 def test_min_scan_arguments(values):
     _check(_run(["bounds", "--min-scan", *values]), values)
+
+
+HEADER = "name,v_fill,v_drill,length,radius"
+# space that file iteration does not split a line at, unlike
+# str.splitlines; float() takes all but \x1c, which strip() takes too
+PADS = [" ", "\t", "\x0b", "\x0c", "\x1c"]
+valid_row = st.tuples(
+    st.floats(0.1, 4.0), st.floats(4.5, 9.0), st.floats(0.05, 3.0), st.floats(0.05, 3.0)
+).map(lambda values: [repr(v) for v in values])
+
+
+@st.composite
+def census_files(draw):
+    """Lines of a dataset file, the header first (maybe after a comment),
+    then mostly valid rows among blank and '#' lines.  A row may have one
+    field swapped for any number text, 3 to 6 fields, a duplicate or an
+    empty name, and one field with the file's space around it."""
+    lines = draw(st.sampled_from([[], ["# generated census"], [""]]))
+    pad = draw(st.sampled_from(PADS))
+    lines.append(HEADER)
+    names = []
+    for i in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["valid"] * 5 + ["swapped"] * 2 + ["wild", "blank", "comment"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+            continue
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(["#", "# note", "  # indented"])))
+            continue
+        if kind == "wild":
+            texts = draw(st.lists(numbers, min_size=3, max_size=6))
+        else:
+            texts = draw(valid_row)
+        if kind == "swapped":
+            texts[draw(st.integers(0, 3))] = draw(numbers)
+        name = draw(st.sampled_from(["m", "c101_", "é", "名 x"])) + str(i)
+        if names and draw(st.integers(0, 19)) == 0:
+            name = draw(st.sampled_from(names))
+        elif draw(st.integers(0, 39)) == 0:
+            name = ""
+        names.append(name)
+        fields = [name, *texts]
+        at = draw(st.integers(0, len(fields)))  # no field padded when at == len
+        fields[at:at + 1] = [pad + field + pad for field in fields[at:at + 1]]
+        lines.append(",".join(fields))
+    return lines
+
+
+def _row_pass(path):
+    """What the per-row pass finds: its diagnostics, or its ParseError."""
+    try:
+        return census._row_diagnostics(path)
+    except errors.ParseError as exc:
+        return exc
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lines=census_files(),
+    bom=st.booleans(),
+    crlf=st.booleans(),
+    bad_byte=st.one_of(st.none(), st.none(), st.none(), st.integers(min_value=0)),
+    block=st.sampled_from([1, 2, 7, 40, 200, 1 << 16]),
+)
+# rows that only the grammar rejects: '_', non-ASCII digits, \x1c inside a
+# line, misaligned rows whose fields add up to whole records, values only
+# a finiteness or a sign check rejects
+@example(lines=[HEADER, "m_0,1.0,2_5,0.5,0.7"], bom=False, crlf=False, bad_byte=None, block=1)
+@example(lines=[HEADER, "é0,1.0,٢.٥,0.5,0.7"], bom=False, crlf=False, bad_byte=None, block=1)
+@example(lines=[HEADER, "m0,1.0,2.0,\x1c0.5,0.7"], bom=False, crlf=False, bad_byte=None, block=1)
+@example(lines=[HEADER, "a,1,2,3", "4,b,1,2,3,4"], bom=False, crlf=False, bad_byte=None, block=9)
+@example(lines=[HEADER, "m0,1.0,inf,0.5,0.7"], bom=False, crlf=False, bad_byte=None, block=1)
+@example(lines=[HEADER, "m0,1.0,2.0,-0.0,0.7"], bom=False, crlf=False, bad_byte=None, block=1)
+# the same name in two blocks; the header in the second block, after a
+# comment; an undecodable byte in a comment
+@example(
+    lines=[HEADER, "m0,1,2,0.5,0.7", "#", "", "m0,1,2,0.5,0.7"],
+    bom=True,
+    crlf=True,
+    bad_byte=None,
+    block=1,
+)
+@example(lines=["# c", HEADER, "m0,1,2,0.5,0.7"], bom=False, crlf=False, bad_byte=None, block=1)
+@example(lines=["# c", HEADER, "m0,1,2,0.5,0.7"], bom=False, crlf=False, bad_byte=2, block=1)
+# \x0b and \x0c inside a valid line, which str.splitlines splits at
+@example(
+    lines=[HEADER, "m0,1.0,2.0,\x0c0.5\x0b,\t0.7"], bom=False, crlf=False, bad_byte=None, block=1
+)
+def test_block_pass_matches_row_pass(lines, bom, crlf, bad_byte, block):
+    # ingest returns a table if and only if the per-row pass finds nothing,
+    # and otherwise raises what the per-row pass finds, whatever the blocks
+    data = _file_bytes(lines, bom, bad_byte)
+    if crlf:
+        data = data.replace(b"\n", b"\r\n")
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(errors, "_BLOCK_CHARS", block):
+        path = pathlib.Path(tmp) / "census.csv"
+        path.write_bytes(data)
+        found = _row_pass(path)
+        try:
+            table = census.ingest(path)
+        except errors.ParseError as exc:
+            assert isinstance(found, errors.ParseError) and str(exc) == str(found)
+            return
+        except errors.IngestError as exc:
+            assert exc.diagnostics == found and found
+            return
+    assert found == []
+    rows = [line.strip().split(",") for line in lines[lines.index(HEADER) + 1 :]]
+    rows = [row for row in rows if row[0] and not row[0].startswith("#")]
+    assert table.names.tolist() == [row[0].strip() for row in rows]
+    for i, key in enumerate(census.INPUT_COLUMNS):
+        expected = np.array([float(row[i + 1]) for row in rows], dtype=np.float64)
+        assert table[key].tobytes() == expected.tobytes()
 
 
 def test_only_the_shared_reader_opens_input():
