@@ -414,6 +414,27 @@ class TestReportCsv:
         write_report_csv(Table(names, columns), path)
         assert path.read_bytes() == (data_dir / "report_golden.csv").read_bytes()
 
+    def test_dataset_bytes_pinned(self, tmp_path, data_dir):
+        # floats by repr, names with a non-ASCII letter, '_' and a NUL byte
+        n = 26
+        columns = {
+            key: np.array([GOLDEN_FLOATS[(i + j) % len(GOLDEN_FLOATS)] for i in range(n)])
+            for j, key in enumerate(INPUT_COLUMNS)
+        }
+        stems = ("m_", "é", "x\x00y", "")
+        names = np.array([f"{stems[i % 4]}{i:02d}" for i in range(n)], dtype=object)
+        path = tmp_path / "dataset.csv"
+        write_dataset(Table(names, columns), path)
+        assert path.read_bytes() == (data_dir / "dataset_golden.csv").read_bytes()
+
+    @pytest.mark.parametrize("filename", ["fig_b_over_vdrill_curves.csv", "fig_dv_over_pil_hist.csv"])
+    def test_figure_bytes_pinned(self, tmp_path, data_dir, filename):
+        # a curves table of floats alone, and a histogram with an int column
+        figs = figure_series(evaluate(ingest(data_dir / "sample20.csv")))
+        census.write_figure_csv(figs[filename.rsplit("_", 1)[0]], tmp_path)
+        golden = data_dir / filename.replace(".csv", "_golden.csv")
+        assert (tmp_path / filename).read_bytes() == golden.read_bytes()
+
     def test_empty_figure_bytes_pinned(self, tmp_path):
         # no radius reaches the zoom's 0.6, so its CSV is the header alone
         figs = figure_series(evaluate(table(("m1", 1.0, 2.0, 0.5, 0.3))))
