@@ -144,6 +144,8 @@ def _cmd_verify(args) -> int:
     reports = _evaluate_dataset(args.dataset, args.tol)
     stats = census.statistics(reports)
     report_path = args.report or args.dataset + ".report.csv"
+    if os.path.exists(report_path) and os.path.samefile(report_path, args.dataset):
+        raise ParseError(f"report path {report_path!r} is the dataset; it would be overwritten")
     census.write_report_csv(reports, report_path)
     print(f"report written to {report_path}")
     _print_summary(stats)

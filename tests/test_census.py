@@ -427,7 +427,9 @@ class TestReportCsv:
         write_dataset(Table(names, columns), path)
         assert path.read_bytes() == (data_dir / "dataset_golden.csv").read_bytes()
 
-    @pytest.mark.parametrize("filename", ["fig_b_over_vdrill_curves.csv", "fig_dv_over_pil_hist.csv"])
+    @pytest.mark.parametrize(
+        "filename", ["fig_b_over_vdrill_curves.csv", "fig_dv_over_pil_hist.csv"]
+    )
     def test_figure_bytes_pinned(self, tmp_path, data_dir, filename):
         # a curves table of floats alone, and a histogram with an int column
         figs = figure_series(evaluate(ingest(data_dir / "sample20.csv")))

@@ -152,6 +152,26 @@ class TestVerify:
         assert code == 0
         assert report.read_text().splitlines()[0].startswith("name,b,c_o,c_p")
 
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_report_over_dataset_refused(self, capsys, tmp_path, data_dir, via_config):
+        # the report path names the dataset by another spelling; the dataset
+        # must survive and verify again
+        dataset = tmp_path / "census.csv"
+        shutil.copy(data_dir / "sample20.csv", dataset)
+        (tmp_path / "sub").mkdir()
+        report = str(tmp_path / "sub" / ".." / "census.csv")
+        if via_config:
+            config = tmp_path / "run.conf"
+            config.write_text(f"report = {report}\n")
+            code, out, err = run(capsys, "--config", str(config), "verify", str(dataset))
+        else:
+            code, out, err = run(capsys, "verify", str(dataset), "--report", report)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert dataset.read_bytes() == (data_dir / "sample20.csv").read_bytes()
+        assert run(capsys, "verify", str(dataset))[0] == 0
+
 
 class TestFigures:
     EXPECTED = [
