@@ -1,5 +1,15 @@
-from tubevol.census import evaluate, figure_series, synthesize
+import pytest
+
+from tubevol.census import evaluate, figure_series, ingest, synthesize
 from tubevol.svgplot import render_figure
+
+FIGURE_NAMES = (
+    "fig_ratio_curve",
+    "fig_overshoot",
+    "fig_overshoot_zoom",
+    "fig_b_over_vdrill",
+    "fig_dv_over_pil",
+)
 
 
 def all_figures():
@@ -39,3 +49,12 @@ class TestRenderFigure:
         svg = render_figure(figs["fig_ratio_curve"])
         assert svg.count("<polyline") == 1
         assert svg.count("<circle") == 0
+
+
+@pytest.mark.parametrize("name", FIGURE_NAMES)
+def test_svg_bytes_pinned(data_dir, name):
+    # every figure of the sample dataset against bytes rendered before the
+    # renderer drew from arrays
+    figs = figure_series(evaluate(ingest(data_dir / "sample20.csv")))
+    golden = (data_dir / f"{name}_golden.svg").read_bytes()
+    assert render_figure(figs[name]).encode("utf-8") == golden
