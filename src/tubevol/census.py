@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IngestError, parse_number, read_blocks, read_lines
+from .errors import DomainError, IngestError, numbered_lines, parse_number, read_blocks
 from . import hypkernel
 from . import surgery
 
@@ -273,21 +273,16 @@ def _write_csv(path, columns: dict[str, np.ndarray], float_repr: bool = False) -
 # Ingest
 
 
-def _fields(text: str) -> list[float]:
-    return list(map(float, text.split(",")))
-
-
-def _row_diagnostics(path) -> list[str]:
-    """Row-numbered diagnostics of a dataset CSV, one row at a time: the
-    header check, then every row that fails the grammar or the checks
-    ``ingest`` documents.  An empty list means the file is valid."""
-    names: set[str] = set()
+def _row_diagnostics(lines, names: dict, header_seen: bool) -> tuple[list[str], bool]:
+    """The row-numbered diagnostics of the rows among numbered dataset lines
+    that fail the grammar or a check ``ingest`` documents, one row at a
+    time, and whether the header has been seen.  ``names`` holds the valid
+    names so far and gains the valid rows'; a wrong header raises."""
     diagnostics: list[str] = []
-    header_seen = False
-    for lineno, line in read_lines(path):
+    for lineno, line in lines:
         if not header_seen:
             if line != _CSV_HEADER:
-                return [f"line {lineno}: expected header {_CSV_HEADER!r}, got {line!r}"]
+                raise IngestError([f"line {lineno}: expected header {_CSV_HEADER!r}, got {line!r}"])
             header_seen = True
             continue
         parts = line.split(",")
@@ -296,7 +291,7 @@ def _row_diagnostics(path) -> list[str]:
             continue
         name = parts[0].strip()
         try:
-            row = parse_number(line[len(parts[0]) + 1 :], _fields)
+            row = list(map(float, parse_number(line[len(parts[0]) + 1 :], str).split(",")))
         except ValueError:
             diagnostics.append(f"line {lineno}: non-numeric field in {line!r}")
             continue
@@ -322,15 +317,16 @@ def _row_diagnostics(path) -> list[str]:
         if row_problems:
             diagnostics.append(f"line {lineno}: " + "; ".join(row_problems))
             continue
-        names.add(name)
-    return diagnostics if header_seen else ["file has no header line"]
+        names[name] = None
+    return diagnostics, header_seen
 
 
-def _block_fields(block: list[str], header_seen: bool):
-    """The names and the number texts, row by row, of one block of raw
-    lines, and whether the header has been seen; None if a line is not
-    UTF-8, a row has other than 5 fields or a number text is not plain
-    ASCII without '_'."""
+def _block_records(block: list[str], names: dict, header_seen: bool):
+    """One block of raw lines read in bulk: its names as the keys of a dict,
+    its numbers row after row, and whether the header has been seen; None
+    if a line is not UTF-8, a row has other than 5 fields, a number text is
+    not plain ASCII without '_' (so float() reads ``parse_number``'s
+    grammar), or a row fails a check ``ingest`` documents."""
     text = "".join(block)
     if not text.isascii():
         try:
@@ -346,49 +342,22 @@ def _block_fields(block: list[str], header_seen: bool):
     if any(count != 4 for count in map(str.count, rows, itertools.repeat(","))):
         return None
     fields = ",".join(rows).split(",") if rows else []
-    names = list(map(str.strip, fields[::5]))
+    fresh = dict.fromkeys(map(str.strip, fields[::5]))
     del fields[::5]
     numbers = ",".join(fields)
-    if not numbers.isascii() or "_" in numbers:
+    if not (numbers.isascii() and "_" not in numbers and len(fresh) == len(rows)):
         return None
-    return names, fields, header_seen
-
-
-def _read_blocks(path) -> Table | None:
-    """The table of a dataset CSV read block by block, or None if any row
-    breaks the grammar or fails a check.  Each number is read by float()
-    from text ``_block_fields`` has checked, so the grammar is
-    ``parse_number``'s by construction."""
-    names: list[str] = []
-    # growing arrays, not one numpy array per block: the blocks' arrays,
-    # freed once joined, left about 20 MB of heap resident at 10^6 records
-    columns = [array("d") for _ in INPUT_COLUMNS]
-    header_seen = False
-    for block in read_blocks(path):
-        parsed = _block_fields(block, header_seen)
-        if parsed is None:
-            return None
-        block_names, fields, header_seen = parsed
-        names += block_names
-        try:
-            for i, column in enumerate(columns):
-                column.extend(map(float, fields[i::4]))
-        except ValueError:
-            return None
-    # duplicates by a dict, not a set: the set's growing table raised the
-    # peak RSS of a later figures run by about 1 MB at 25,709 records
-    if not (header_seen and all(names) and len(dict.fromkeys(names)) == len(names)):
+    if "" in fresh or not names.keys().isdisjoint(fresh):
         return None
-    v_fill, v_drill, length, radius = values = [np.frombuffer(c, np.float64) for c in columns]
-    if not (
-        all(np.isfinite(column).all() for column in values)
-        and (v_fill > 0.0).all()
-        and (v_drill > v_fill).all()
-        and (length > 0.0).all()
-        and (radius > 0.0).all()
-    ):
+    try:
+        values = array("d", map(float, fields))
+    except ValueError:
         return None
-    return Table(np.array(names, dtype=object), dict(zip(INPUT_COLUMNS, values)))
+    records = np.frombuffer(values, np.float64).reshape(-1, len(INPUT_COLUMNS))
+    # every value finite and positive, and v_drill > v_fill
+    if not (((0.0 < records) & (records < np.inf)).all() and (records[:, 1] > records[:, 0]).all()):
+        return None
+    return fresh, values, header_seen
 
 
 def ingest(path) -> Table:
@@ -396,19 +365,39 @@ def ingest(path) -> Table:
 
     Format: lines as ``errors.read_lines`` reads them, the header
     ``name,v_fill,v_drill,length,radius``, then one record per line, its
-    numbers as ``errors.parse_number`` reads them.  The file is read in
-    blocks of about 64K characters (``errors.read_blocks``), each parsed in
-    bulk, and the checks are made once over the whole columns.  If anything
-    fails, a second, per-row pass re-reads the file and raises IngestError
-    carrying row-numbered diagnostics (non-numeric fields, a wrong field
-    count, duplicate or empty names, nonpositive length/radius, or v_drill
-    <= v_fill, which breaks the strict drilling inequality), or ParseError
-    for bytes that are not UTF-8.  Both passes accept exactly the same files.
+    numbers as ``errors.parse_number`` reads them.  The file is read once,
+    so it may be a pipe, in blocks of about 64K characters
+    (``errors.read_blocks``), each parsed and checked in bulk.  From the
+    first block that fails on, each row is checked on its own in the same
+    read, and the result is an IngestError carrying row-numbered
+    diagnostics (non-numeric fields, a wrong field count, duplicate or empty
+    names, nonpositive length/radius, or v_drill <= v_fill, which breaks the
+    strict drilling inequality), or ParseError for bytes that are not UTF-8.
     """
-    table = _read_blocks(path)
-    if table is None:
-        raise IngestError(_row_diagnostics(path))
-    return table
+    # the valid names so far, in file order, as the keys of a dict
+    names: dict[str, None] = {}
+    # the numbers row after row in one growing array, which outgrows the
+    # names' table and so is mapped, not copied, as it grows: four columns
+    # or an array per block left 8 to 33 MB more heap resident at 10^6 rows
+    numbers = array("d")
+    diagnostics: list[str] = []
+    header_seen = False
+    start = 1
+    for block in read_blocks(path):
+        records = None if diagnostics else _block_records(block, names, header_seen)
+        if records is None:
+            lines = numbered_lines(path, block, start)
+            found, header_seen = _row_diagnostics(lines, names, header_seen)
+            diagnostics += found
+        else:
+            fresh, values, header_seen = records
+            names |= fresh
+            numbers.extend(values)
+        start += len(block)
+    if diagnostics or not header_seen:
+        raise IngestError(diagnostics or ["file has no header line"])
+    values = np.frombuffer(numbers, np.float64).reshape(-1, len(INPUT_COLUMNS)).T.copy()
+    return Table(np.fromiter(names, object, len(names)), dict(zip(INPUT_COLUMNS, values)))
 
 
 def write_dataset(table: Table, path) -> None:

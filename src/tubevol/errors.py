@@ -6,6 +6,8 @@ domain errors (exit 2); verification failures are reported by return value
 (exit 3).
 """
 
+import itertools
+
 
 class DomainError(ValueError):
     """An argument is outside the mathematical domain of an operation."""
@@ -41,12 +43,11 @@ def read_blocks(path):
             yield block
 
 
-def read_lines(path):
-    """Yield (line number, stripped line) for each line of a UTF-8 file,
-    with or without a byte-order mark, that is neither blank nor a '#'
-    comment; bytes that are not UTF-8 are a ParseError naming their line."""
-    lines = (raw for block in read_blocks(path) for raw in block)
-    for lineno, raw in enumerate(lines, 1):
+def numbered_lines(path, raw_lines, start: int = 1):
+    """Yield (line number, stripped line), numbering from ``start``, for each
+    raw line of ``path`` that is neither blank nor a '#' comment; bytes that
+    are not UTF-8 are a ParseError naming their line."""
+    for lineno, raw in enumerate(raw_lines, start):
         line = raw.strip()
         # undecodable bytes are lone surrogates, which only non-ASCII lines hold
         if not line.isascii():
@@ -58,11 +59,16 @@ def read_lines(path):
             yield lineno, line
 
 
+def read_lines(path):
+    """``numbered_lines`` over every line of ``read_blocks(path)``."""
+    return numbered_lines(path, itertools.chain.from_iterable(read_blocks(path)))
+
+
 def parse_number(text: str, kind=float):
-    """``kind(text)``, ``kind`` float, int or a function reading a row's fields
-    with them, for every number read from input.  Unlike float() and int()
-    alone it rejects '_' ('2_0' is not 20) and non-ASCII digits; 'inf' and
-    'nan' pass, for the callers' range checks."""
+    """``kind(text)``, ``kind`` float, int or str (a row's fields, each then
+    read by float), for every number read from input.  Unlike float() and
+    int() alone it rejects '_' ('2_0' is not 20) and non-ASCII digits;
+    'inf' and 'nan' pass, for the callers' range checks."""
     if not text.isascii() or "_" in text:
         raise ValueError(f"not a plain ASCII number: {text!r}")
     return kind(text)

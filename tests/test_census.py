@@ -132,6 +132,20 @@ class TestIngest:
         assert back.names.tolist() == [f"c003_{i:06d}" for i in range(len(records))]
         assert all(np.array_equal(back[key], records[key]) for key in INPUT_COLUMNS)
 
+    def test_failing_file_is_opened_once(self, tmp_path, monkeypatch):
+        # the diagnostics come from the one read, so a pipe can be a dataset
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(errors, "open", counting_open, raising=False)
+        path = self.write(tmp_path, "m1,1.0,2.0,0.5,0.7\nm2,2.0,1.0,0.5,0.7\n")
+        with pytest.raises(IngestError, match="line 3: v_drill"):
+            ingest(path)
+        assert opened == [path]
+
     def test_round_trip_bit_identical(self, tmp_path):
         records = synthesize(25, seed=11)
         path = tmp_path / "rt.csv"

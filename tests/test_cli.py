@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -171,6 +172,44 @@ class TestVerify:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert dataset.read_bytes() == (data_dir / "sample20.csv").read_bytes()
         assert run(capsys, "verify", str(dataset))[0] == 0
+
+
+# line 3 breaks the strict drilling inequality
+FAILING_ROWS = b"name,v_fill,v_drill,length,radius\nm1,1.0,2.0,0.5,0.7\nm2,2.0,1.0,0.5,0.7\n"
+LINE_3_ERROR = (
+    "error: line 3: v_drill (1.0) must strictly exceed v_fill (2.0): "
+    "drilling strictly increases volume\n"
+)
+
+
+def tubevol_process(*argv, **kwargs):
+    """``tubevol`` run as its own process on this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tubevol.__file__).parents[1]))
+    argv = [sys.executable, "-m", "tubevol.cli", *argv]
+    return subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kwargs)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_verify_reads_a_failing_dataset_from_stdin():
+    proc = tubevol_process("verify", "/dev/stdin", stdin=subprocess.PIPE)
+    out, err = proc.communicate(FAILING_ROWS, timeout=60)
+    assert (proc.returncode, out, err.decode()) == (1, b"", LINE_3_ERROR)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_verify_reads_a_failing_dataset_from_a_named_pipe(tmp_path):
+    fifo = tmp_path / "census.csv"
+    os.mkfifo(fifo)
+    proc = tubevol_process("verify", str(fifo))
+    # opening the pipe for writing waits for the reader, so a thread writes
+    writer = threading.Thread(target=fifo.write_bytes, args=(FAILING_ROWS,), daemon=True)
+    writer.start()
+    try:
+        out, err = proc.communicate(timeout=60)
+    finally:  # a second open of the pipe would wait for a writer forever
+        proc.kill()
+    writer.join(timeout=10)
+    assert (proc.returncode, out, err.decode()) == (1, b"", LINE_3_ERROR)
 
 
 class TestFigures:

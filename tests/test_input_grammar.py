@@ -265,11 +265,15 @@ def census_files(draw):
 
 
 def _row_pass(path):
-    """What the per-row pass finds: its diagnostics, or its ParseError."""
+    """What the row checker finds over the whole file: its diagnostics, or
+    its ParseError."""
     try:
-        return census._row_diagnostics(path)
+        diagnostics, header_seen = census._row_diagnostics(errors.read_lines(path), {}, False)
+    except errors.IngestError as exc:  # a line where the header belongs
+        return exc.diagnostics
     except errors.ParseError as exc:
         return exc
+    return diagnostics if header_seen else ["file has no header line"]
 
 
 @settings(max_examples=200, deadline=None)
@@ -305,8 +309,9 @@ def _row_pass(path):
     lines=[HEADER, "m0,1.0,2.0,\x0c0.5\x0b,\t0.7"], bom=False, crlf=False, bad_byte=None, block=1
 )
 def test_block_pass_matches_row_pass(lines, bom, crlf, bad_byte, block):
-    # ingest returns a table if and only if the per-row pass finds nothing,
-    # and otherwise raises what the per-row pass finds, whatever the blocks
+    # ingest returns a table if and only if the row checker finds nothing
+    # over the whole file, and otherwise raises what it finds, whatever the
+    # blocks
     data = _file_bytes(lines, bom, bad_byte)
     if crlf:
         data = data.replace(b"\n", b"\r\n")
