@@ -594,17 +594,20 @@ def tube_radius_upper_bound(
 
 
 def read_presentation(path) -> GroupPresentation:
-    """Read a presentation from ``errors.read_lines``: one generator per line
-    as eight decimals (re/im of a, b, c, d), then a line ``core: <word>``."""
+    """Read a presentation from ``errors.read_lines``: one to 26 generators,
+    one per line as eight decimals (re/im of a, b, c, d), then a line
+    ``core: <word>`` spelled with their letters."""
     generators = []
     core_word = None
     for lineno, line in read_lines(path):
         if line.startswith("core:"):
-            core_word = line[len("core:") :].strip()
+            core_word, core_line = line[len("core:") :].strip(), lineno
             continue
         parts = line.split()
         if len(parts) != 8:
             raise ParseError(f"{path}: line {lineno}: expected 8 values, got {len(parts)}")
+        if len(generators) == 26:
+            raise ParseError(f"{path}: line {lineno}: more than 26 generators")
         try:
             v = [parse_number(p) for p in parts]
         except ValueError as exc:
@@ -612,4 +615,11 @@ def read_presentation(path) -> GroupPresentation:
         generators.append(MobiusTransform(*map(complex, v[0::2], v[1::2])))
     if core_word is None:
         raise ParseError(f"{path}: missing 'core: <word>' line")
+    if not generators:
+        raise ParseError(f"{path}: no generator lines")
+    letters = "".join(_letters(len(generators)))
+    if not core_word or not set(core_word) <= set(letters):
+        raise ParseError(
+            f"{path}: line {core_line}: core word {core_word!r} is not a word in {letters}"
+        )
     return GroupPresentation(tuple(generators), core_word)

@@ -384,6 +384,24 @@ class TestTubeRadius:
         code, _, _ = run(capsys, "tube-radius", str(path))
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("2 0 0 0 0 0 0.5 0\ncore:\n", "line 2: core word ''"),
+            ("2 0 0 0 0 0 0.5 0\ncore: a1\n", "line 2: core word 'a1'"),
+            ("2 0 0 0 0 0 0.5 0\n\ncore: ab\n", "line 3: core word 'ab'"),
+            ("# none\ncore: a\n", "no generator lines"),
+            ("2 0 0 0 0 0 0.5 0\n" * 27 + "core: a\n", "line 27: more than 26 generators"),
+        ],
+        ids=["empty-core", "non-letter", "no-generator", "no-generators", "27-generators"],
+    )
+    def test_malformed_presentation_is_input_error(self, capsys, tmp_path, text, where):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "tube-radius", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: {where}") and len(err.splitlines()) == 1
+
 
 class TestSurgery:
     def test_ramp_fixture(self, capsys, data_dir):
