@@ -542,21 +542,21 @@ def tube_radius_upper_bound(
     core = np.array([letters.index(letter) for letter in g.core_word])
     cores = np.stack([core, inverse_letter[core[::-1]]])  # the core word and its inverse
 
-    best_d = math.inf
-    best: tuple[int, int] | None = None  # (length - 1, index) of the witness
+    best_d, witness = math.inf, None
     seen: set[bytes] = set()
     frontier = np.eye(2, dtype=complex)[None]
-    tail = np.full((1, len(core)), -1)  # the last len(core) letters of each frontier word
-    levels: list[tuple[np.ndarray, np.ndarray]] = []  # parent and letter per word
+    # the letters of each frontier word after len(core) places of -1, so
+    # that its last letter and its last len(core) letters are columns
+    spelling = np.full((1, len(core)), -1, dtype=np.int8)
     for level in range(max_word_length):
         parent = np.repeat(np.arange(len(frontier)), len(letters))
-        letter = np.tile(np.arange(len(letters)), len(frontier))
-        reduced = inverse_letter[letter] != tail[parent, -1]
+        letter = np.tile(np.arange(len(letters), dtype=np.int8), len(frontier))
+        reduced = inverse_letter[letter] != spelling[parent, -1]
         parent, letter = parent[reduced], letter[reduced]
-        tails = np.column_stack([tail[parent, 1:], letter])
-        at_core = (tails[:, None] == cores).all(axis=2).any(axis=1)
+        rows = np.column_stack([spelling[parent], letter])
+        at_core = (rows[:, None, -len(core) :] == cores).all(axis=2).any(axis=1)
         if level + 1 == len(core):  # words as long as the core end with it iff they begin with it
-            parent, letter, tails, at_core = (x[~at_core] for x in (parent, letter, tails, at_core))
+            parent, letter, rows, at_core = (x[~at_core] for x in (parent, letter, rows, at_core))
         words = frontier[parent] @ letter_matrices[letter]
         if not np.isfinite(words).all():
             raise DomainError("tube_radius_upper_bound: word entries overflow")
@@ -565,10 +565,9 @@ def tube_radius_upper_bound(
             if key not in seen:
                 seen.add(key)
                 fresh[i] = True
-        frontier, tail = words[fresh], tails[fresh]
+        frontier, spelling = words[fresh], rows[fresh]
         if not len(frontier):  # longer words extend fresh ones only, so none is left
             break
-        levels.append((parent[fresh], letter[fresh]))
         # a word whose off-diagonal or diagonal entries vanish fixes the axis
         mag = np.abs(frontier).reshape(-1, 4)
         tol = _FIXES_AXIS_TOL * mag.max(axis=1)
@@ -578,15 +577,9 @@ def tube_radius_upper_bound(
             d = np.maximum(_axis_distance(frontier[moved]).real, 0.0)
             j = int(np.argmin(d))
             if d[j] < best_d:
-                best_d, best = float(d[j]), (level, int(moved[j]))
-    if best is None:
-        return TubeRadiusResult(math.inf, None)
-    level, index = best
-    spelled = []
-    for parent, letter in reversed(levels[: level + 1]):
-        spelled.append(letters[letter[index]])
-        index = parent[index]
-    return TubeRadiusResult(0.5 * best_d, "".join(reversed(spelled)))
+                best_d = float(d[j])
+                witness = "".join(letters[i] for i in spelling[moved[j], len(core) :])
+    return TubeRadiusResult(0.5 * best_d, witness)
 
 
 # ---------------------------------------------------------------------------
