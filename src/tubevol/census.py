@@ -322,11 +322,11 @@ def _row_diagnostics(lines, names: dict, header_seen: bool) -> tuple[list[str], 
 
 
 def _block_records(block: list[str], names: dict, header_seen: bool):
-    """One block of raw lines read in bulk: its names as the keys of a dict,
-    its numbers row after row, and whether the header has been seen; None
-    if a line is not UTF-8, a row has other than 5 fields, a number text is
-    not plain ASCII without '_' (so float() reads ``parse_number``'s
-    grammar), or a row fails a check ``ingest`` documents."""
+    """One block of raw lines read in bulk: its numbers row after row, and
+    whether the header has been seen, its names added to ``names``; None,
+    and ``names`` unchanged, if a line is not UTF-8, a row has other than 5
+    fields, a number text is not plain ASCII without '_' (so float() reads
+    ``parse_number``'s grammar), or a row fails a check ``ingest`` documents."""
     text = "".join(block)
     if not text.isascii():
         try:
@@ -342,12 +342,10 @@ def _block_records(block: list[str], names: dict, header_seen: bool):
     if any(count != 4 for count in map(str.count, rows, itertools.repeat(","))):
         return None
     fields = ",".join(rows).split(",") if rows else []
-    fresh = dict.fromkeys(map(str.strip, fields[::5]))
+    block_names = fields[::5]
     del fields[::5]
     numbers = ",".join(fields)
-    if not (numbers.isascii() and "_" not in numbers and len(fresh) == len(rows)):
-        return None
-    if "" in fresh or not names.keys().isdisjoint(fresh):
+    if not numbers.isascii() or "_" in numbers:
         return None
     try:
         values = array("d", map(float, fields))
@@ -357,7 +355,15 @@ def _block_records(block: list[str], names: dict, header_seen: bool):
     # every value finite and positive, and v_drill > v_fill
     if not (((0.0 < records) & (records < np.inf)).all() and (records[:, 1] > records[:, 0]).all()):
         return None
-    return fresh, values, header_seen
+    # new names go to the end of the dict, so a repeated or empty name is
+    # undone by removing the last ones
+    known = len(names)
+    names.update(zip(map(str.strip, block_names), itertools.repeat(None)))
+    if len(names) != known + len(rows) or "" in names:
+        while len(names) > known:
+            names.popitem()
+        return None
+    return values, header_seen
 
 
 def ingest(path) -> Table:
@@ -376,9 +382,9 @@ def ingest(path) -> Table:
     """
     # the valid names so far, in file order, as the keys of a dict
     names: dict[str, None] = {}
-    # the numbers row after row in one growing array, which outgrows the
-    # names' table and so is mapped, not copied, as it grows: four columns
-    # or an array per block left 8 to 33 MB more heap resident at 10^6 rows
+    # the numbers row after row: one growing array, larger than the names'
+    # freed tables, which raise malloc's mmap threshold, grows mapped; four
+    # columns kept 8-10 MB more heap resident at 10^6 rows
     numbers = array("d")
     diagnostics: list[str] = []
     header_seen = False
@@ -390,8 +396,7 @@ def ingest(path) -> Table:
             found, header_seen = _row_diagnostics(lines, names, header_seen)
             diagnostics += found
         else:
-            fresh, values, header_seen = records
-            names |= fresh
+            values, header_seen = records
             numbers.extend(values)
         start += len(block)
     if diagnostics or not header_seen:
