@@ -44,10 +44,14 @@ INPUT_COLUMNS = ("v_fill", "v_drill", "length", "radius")
 
 _CSV_HEADER = ",".join(("name",) + INPUT_COLUMNS)
 
+# the dtype of ``Table.names``: variable-width UTF-8, a name of up to 15
+# bytes held inline in 16 bytes, with no Python object per name
+_NAME_DTYPE = np.dtypes.StringDType()
+
 
 @dataclass(frozen=True, eq=False)
 class Table:
-    """A census held as columns: ``names`` (an object array of str) and
+    """A census held as columns: ``names`` (a ``StringDType`` array) and
     float64 or bool arrays of the same length, looked up by column name.
     ``evaluate`` adds every bound, ratio and verdict to ``INPUT_COLUMNS``."""
 
@@ -223,9 +227,11 @@ def _float_run(run: list[np.ndarray], part: slice) -> tuple[np.ndarray, np.ndarr
 
 
 def _str_cells(column: np.ndarray, part: slice) -> tuple[np.ndarray, np.ndarray]:
-    """The cells of a column by str; an object column holds str already."""
+    """The cells of a column by str; an object or ``StringDType`` column
+    holds str already (whose Python ``len`` counts trailing NULs, which
+    ``np.strings.str_len`` does not)."""
     texts = column[part].tolist()
-    return _text_cells(texts if column.dtype == object else list(map(str, texts)))
+    return _text_cells(texts if column.dtype.kind in "OT" else list(map(str, texts)))
 
 
 def _verdict_cells(run: list[np.ndarray]):
@@ -347,11 +353,11 @@ def _block_records(block: list[str], names: dict, header_seen: bool):
     numbers = ",".join(fields)
     if not numbers.isascii() or "_" in numbers:
         return None
-    try:
-        values = array("d", map(float, fields))
+    try:  # float() of each text, as the row checker reads it
+        values = np.array(fields, np.float64)
     except ValueError:
         return None
-    records = np.frombuffer(values, np.float64).reshape(-1, len(INPUT_COLUMNS))
+    records = values.reshape(-1, len(INPUT_COLUMNS))
     # every value finite and positive, and v_drill > v_fill
     if not (((0.0 < records) & (records < np.inf)).all() and (records[:, 1] > records[:, 0]).all()):
         return None
@@ -397,12 +403,14 @@ def ingest(path) -> Table:
             diagnostics += found
         else:
             values, header_seen = records
-            numbers.extend(values)
+            numbers.frombytes(memoryview(values).cast("B"))
         start += len(block)
     if diagnostics or not header_seen:
         raise IngestError(diagnostics or ["file has no header line"])
+    # the dict and its strings are freed before the columns are copied out
+    names = np.array(list(names), _NAME_DTYPE)
     values = np.frombuffer(numbers, np.float64).reshape(-1, len(INPUT_COLUMNS)).T.copy()
-    return Table(np.fromiter(names, object, len(names)), dict(zip(INPUT_COLUMNS, values)))
+    return Table(names, dict(zip(INPUT_COLUMNS, values)))
 
 
 def write_dataset(table: Table, path) -> None:
@@ -644,5 +652,5 @@ def synthesize(n: int, seed: int, noise_sigma: float = 0.017) -> Table:
         batches.append(np.stack([v_fill[keep], v_drill[keep], length[keep], radius[keep]]))
         count += keep.size
     values = np.concatenate(batches, axis=1)
-    names = np.array([f"synth{i:05d}" for i in range(n)], dtype=object)
+    names = np.array([f"synth{i:05d}" for i in range(n)], _NAME_DTYPE)
     return Table(names, dict(zip(INPUT_COLUMNS, values)))

@@ -27,12 +27,14 @@ GOLDEN_FLOATS = [
     1e-300, 1e300, 5e-324, -0.0, 0.5, 1.0 / 3.0, math.pi, -2.5e-7,
     123456789012.5, 1e16, math.inf, -math.inf, math.nan,
 ]  # fmt: skip
+# the dtype census names are held in
+STRINGS = np.dtypes.StringDType()
 
 
 def table(*rows) -> Table:
     """Table of (name, v_fill, v_drill, length, radius) rows."""
     values = np.array([row[1:] for row in rows], dtype=np.float64).reshape(-1, 4)
-    names = np.array([row[0] for row in rows], dtype=object)
+    names = np.array([row[0] for row in rows], STRINGS)
     return Table(names, {key: values[:, i].copy() for i, key in enumerate(INPUT_COLUMNS)})
 
 
@@ -67,6 +69,7 @@ class TestIngest:
         records = ingest(data_dir / "sample20.csv")
         assert len(records) == 20
         assert len(set(records.names)) == 20
+        assert records.names.dtype.kind == "T"
 
     def test_empty_file(self, tmp_path):
         assert len(ingest(self.write(tmp_path, ""))) == 0
@@ -347,6 +350,7 @@ class TestFigureSeries:
 class TestSynthesize:
     def test_deterministic(self):
         assert tables_equal(synthesize(40, seed=123), synthesize(40, seed=123))
+        assert synthesize(40, seed=123).names.dtype.kind == "T"
 
     def test_seed_matters(self):
         assert not tables_equal(synthesize(40, seed=123), synthesize(40, seed=124))
@@ -423,7 +427,7 @@ class TestReportCsv:
         }
         for j, key in enumerate(verdicts):
             columns[key] = (np.arange(n) >> (len(verdicts) - 1 - j)) & 1 == 1
-        names = np.array([f"{('m_', 'é', 'c101_')[i % 3]}{i:02d}" for i in range(n)], dtype=object)
+        names = np.array([f"{('m_', 'é', 'c101_')[i % 3]}{i:02d}" for i in range(n)], STRINGS)
         path = tmp_path / "report.csv"
         write_report_csv(Table(names, columns), path)
         assert path.read_bytes() == (data_dir / "report_golden.csv").read_bytes()
@@ -436,7 +440,7 @@ class TestReportCsv:
             for j, key in enumerate(INPUT_COLUMNS)
         }
         stems = ("m_", "é", "x\x00y", "")
-        names = np.array([f"{stems[i % 4]}{i:02d}" for i in range(n)], dtype=object)
+        names = np.array([f"{stems[i % 4]}{i:02d}" for i in range(n)], STRINGS)
         path = tmp_path / "dataset.csv"
         write_dataset(Table(names, columns), path)
         assert path.read_bytes() == (data_dir / "dataset_golden.csv").read_bytes()

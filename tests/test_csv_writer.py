@@ -85,7 +85,8 @@ def tables(draw):
     columns = {}
     for i, kind in enumerate(draw(kinds)):
         if kind == "name":
-            column = np.array(draw(st.lists(names, min_size=n, max_size=n)), dtype=object)
+            texts = draw(st.lists(names, min_size=n, max_size=n))
+            column = np.array(texts, np.dtypes.StringDType())
         elif kind == "float":
             column = np.array(draw(st.lists(floats, min_size=n, max_size=n)), dtype=np.float64)
         elif kind == "bool":

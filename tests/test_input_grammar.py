@@ -251,7 +251,10 @@ def census_files(draw):
             texts = draw(valid_row)
         if kind == "swapped":
             texts[draw(st.integers(0, 3))] = draw(numbers)
-        name = draw(st.sampled_from(["m", "c101_", "é", "名 x"])) + str(i)
+        # a name ending in NUL, and one of more than the 15 bytes that
+        # StringDType holds inline
+        names_of = ["m{}", "c101_{}", "é{}", "名 x{}", "x{}\x00", "多様体の測地線 {}"]
+        name = draw(st.sampled_from(names_of)).format(i)
         if names and draw(st.integers(0, 19)) == 0:
             name = draw(st.sampled_from(names))
         elif draw(st.integers(0, 39)) == 0:
@@ -330,6 +333,7 @@ def test_block_pass_matches_row_pass(lines, bom, crlf, bad_byte, block):
     assert found == []
     rows = [line.strip().split(",") for line in lines[lines.index(HEADER) + 1 :]]
     rows = [row for row in rows if row[0] and not row[0].startswith("#")]
+    assert table.names.dtype.kind == "T"
     assert table.names.tolist() == [row[0].strip() for row in rows]
     for i, key in enumerate(census.INPUT_COLUMNS):
         expected = np.array([float(row[i + 1]) for row in rows], dtype=np.float64)
