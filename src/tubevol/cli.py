@@ -6,7 +6,9 @@ series as CSV and SVG), tube-radius (word search over a group presentation),
 surgery (cone-profile volume predictors), synthesize (generate a dataset).
 
 Exit codes: 0 success, 1 input error, 2 domain error (also a count that
-needs more memory than the machine has), 3 verification failure.  Numeric
+needs more memory than the machine has), 3 verification failure, 141 (the
+shell's status for SIGPIPE, with nothing printed) when stdout is closed
+early, as by ``| head``.  Numeric
 output is printed with 12 significant digits.  A config file of key=value
 lines may supply defaults; flags override it.
 """
@@ -144,6 +146,9 @@ def _cmd_verify(args) -> int:
     reports = _evaluate_dataset(args.dataset, args.tol)
     stats = census.statistics(reports)
     report_path = args.report or args.dataset + ".report.csv"
+    if args.report is None and not os.path.isfile(args.dataset):
+        # a pipe or a device has no directory of its own to write beside
+        raise ParseError(f"dataset {args.dataset!r} is not a regular file; name a --report path")
     if os.path.exists(report_path) and os.path.samefile(report_path, args.dataset):
         raise ParseError(f"report path {report_path!r} is the dataset; it would be overwritten")
     census.write_report_csv(reports, report_path)
@@ -358,7 +363,17 @@ def main(argv=None) -> int:
             for p in [parser, *subparsers]:
                 p.set_defaults(**values)
         args = parser.parse_args(rest)
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout is gone, as under `| head`: print nothing,
+        # send what stdout still buffers to devnull so the flush at exit
+        # cannot fail, and give the shell's status for SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ParseError, IngestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

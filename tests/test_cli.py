@@ -182,11 +182,14 @@ LINE_3_ERROR = (
 )
 
 
-def tubevol_process(*argv, **kwargs):
-    """``tubevol`` run as its own process on this checkout's package."""
-    env = dict(os.environ, PYTHONPATH=str(Path(tubevol.__file__).parents[1]))
+def tubevol_process(*argv, env=(), **kwargs):
+    """``tubevol`` run as its own process on this checkout's package, with
+    ``env`` added to its environment and stdout and stderr piped unless
+    ``kwargs`` says otherwise."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tubevol.__file__).parents[1]), **dict(env))
     argv = [sys.executable, "-m", "tubevol.cli", *argv]
-    return subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kwargs)
+    pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+    return subprocess.Popen(argv, env=env, **{**pipes, **kwargs})
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
@@ -210,6 +213,39 @@ def test_verify_reads_a_failing_dataset_from_a_named_pipe(tmp_path):
         proc.kill()
     writer.join(timeout=10)
     assert (proc.returncode, out, err.decode()) == (1, b"", LINE_3_ERROR)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_verify_wants_a_report_path_for_a_dataset_from_stdin(data_dir):
+    # the default report would be /dev/stdin.report.csv
+    default = Path("/dev/stdin.report.csv")
+    existed = default.exists()
+    proc = tubevol_process("verify", "/dev/stdin", stdin=subprocess.PIPE)
+    out, err = proc.communicate((data_dir / "sample20.csv").read_bytes(), timeout=60)
+    assert (proc.returncode, out) == (1, b"")
+    assert err.startswith(b"error: dataset '/dev/stdin' is not a regular file")
+    assert len(err.splitlines()) == 1
+    assert default.exists() == existed
+
+
+# stdout block-buffered fails at the last flush, unbuffered at the first print
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_closed_stdout_exits_141_in_silence(data_dir, tmp_path, unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = tubevol_process(
+            "verify",
+            str(data_dir / "sample20.csv"),
+            "--report",
+            str(tmp_path / "report.csv"),
+            env={"PYTHONUNBUFFERED": unbuffered},
+            stdout=write_end,
+        )
+    finally:
+        os.close(write_end)
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
 
 
 class TestFigures:
