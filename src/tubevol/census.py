@@ -14,6 +14,10 @@ import functools
 import itertools
 import math
 import os
+import signal
+import struct
+import tempfile
+import threading
 from array import array
 from dataclasses import dataclass
 
@@ -28,6 +32,7 @@ __all__ = [
     "FigureSeries",
     "INPUT_COLUMNS",
     "REPORT_COLUMNS",
+    "ReportWriter",
     "Table",
     "evaluate",
     "figure_series",
@@ -148,10 +153,10 @@ def _cut(cells: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cells, keep
 
 
-def _text_cells(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The UTF-8 bytes of each text as a row of a uint8 matrix, with the
-    comma and mask of ``_cut`` (the padding is never kept, so a text may
-    hold NUL bytes)."""
+def _text_cells(texts: list) -> tuple[np.ndarray, np.ndarray]:
+    """The UTF-8 bytes of each text, a str or its UTF-8 bytes, as a row of
+    a uint8 matrix, with the comma and mask of ``_cut`` (the padding is
+    never kept, so a text may hold NUL bytes)."""
     lens = np.fromiter(map(len, texts), np.intp, len(texts))
     try:  # ASCII texts, the usual case, convert without encoding each
         cells = np.array(texts, dtype=f"S{lens.max() + 1}")
@@ -227,9 +232,10 @@ def _float_run(run: list[np.ndarray], part: slice) -> tuple[np.ndarray, np.ndarr
 
 
 def _str_cells(column: np.ndarray, part: slice) -> tuple[np.ndarray, np.ndarray]:
-    """The cells of a column by str; an object or ``StringDType`` column
-    holds str already (whose Python ``len`` counts trailing NULs, which
-    ``np.strings.str_len`` does not)."""
+    """The cells of a column by str; a ``StringDType`` column holds str
+    already (whose Python ``len`` counts trailing NULs, which
+    ``np.strings.str_len`` does not), and an object column str or UTF-8
+    bytes."""
     texts = column[part].tolist()
     return _text_cells(texts if column.dtype.kind in "OT" else list(map(str, texts)))
 
@@ -248,14 +254,14 @@ def _verdict_cells(run: list[np.ndarray]):
     return convert
 
 
-def _write_csv(path, columns: dict[str, np.ndarray], float_repr: bool = False) -> None:
-    """Write equal-length columns under a header of their keys: floats as
-    '%.12g' prints them, or by repr if ``float_repr``, booleans as
-    true/false, the rest by str.  Each chunk of rows is laid out as a byte
-    matrix, a row's cells side by side, and written as the bytes its mask
-    keeps.  Each run of adjacent float columns is formatted as one array
-    (``_float_cells``), each run of bool columns as one cell looked up by
-    its bits."""
+def _csv_rows(columns: dict[str, np.ndarray], float_repr: bool = False):
+    """Yield the CSV bytes of the rows of equal-length columns, a chunk of
+    ``_CSV_CHUNK`` rows at a time: floats as '%.12g' prints them, or by
+    repr if ``float_repr``, booleans as true/false, the rest by str.  Each
+    chunk is laid out as a byte matrix, a row's cells side by side, and
+    given as the bytes its mask keeps.  Each run of adjacent float columns
+    is formatted as one array (``_float_cells``), each run of bool columns
+    as one cell looked up by its bits."""
     fields = []
     for kind, run in itertools.groupby(columns.values(), lambda column: column.dtype.kind):
         run = list(run)
@@ -265,14 +271,25 @@ def _write_csv(path, columns: dict[str, np.ndarray], float_repr: bool = False) -
             fields.append(functools.partial(_float_run, run))
         else:
             fields += [functools.partial(_str_cells, column) for column in run]
+    for start in range(0, len(next(iter(columns.values()))), _CSV_CHUNK):
+        part = slice(start, start + _CSV_CHUNK)
+        cells, keep = zip(*(convert(part) for convert in fields))
+        rows = np.concatenate(cells, axis=1)
+        rows[:, -1] = ord("\n")
+        yield rows[np.concatenate(keep, axis=1)]
+
+
+def _csv_header(columns) -> bytes:
+    return (",".join(columns) + "\n").encode("utf-8")
+
+
+def _write_csv(path, columns: dict[str, np.ndarray], float_repr: bool = False) -> None:
+    """Write equal-length columns under a header of their keys, as
+    ``_csv_rows`` gives them."""
     with open(path, "wb") as handle:
-        handle.write((",".join(columns) + "\n").encode("utf-8"))
-        for start in range(0, len(next(iter(columns.values()))), _CSV_CHUNK):
-            part = slice(start, start + _CSV_CHUNK)
-            cells, keep = zip(*(convert(part) for convert in fields))
-            rows = np.concatenate(cells, axis=1)
-            rows[:, -1] = ord("\n")
-            handle.write(rows[np.concatenate(keep, axis=1)])
+        handle.write(_csv_header(columns))
+        for rows in _csv_rows(columns, float_repr):
+            handle.write(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +344,10 @@ def _row_diagnostics(lines, names: dict, header_seen: bool) -> tuple[list[str], 
     return diagnostics, header_seen
 
 
-def _block_records(block: list[str], names: dict, header_seen: bool):
+def _block_records(block: list[str], names: dict, header_seen: bool, sink=None):
     """One block of raw lines read in bulk: its numbers row after row, and
-    whether the header has been seen, its names added to ``names``; None,
+    whether the header has been seen, its names added to ``names`` and the
+    block handed to ``sink`` as ``ingest`` says; None,
     and ``names`` unchanged, if a line is not UTF-8, a row has other than 5
     fields, a number text is not plain ASCII without '_' (so float() reads
     ``parse_number``'s grammar), or a row fails a check ``ingest`` documents."""
@@ -369,10 +387,12 @@ def _block_records(block: list[str], names: dict, header_seen: bool):
         while len(names) > known:
             names.popitem()
         return None
+    if sink is not None and rows:
+        sink(map(str.strip, block_names), values)
     return values, header_seen
 
 
-def ingest(path) -> Table:
+def ingest(path, sink=None) -> Table:
     """Read drill records from a CSV file into a table of ``INPUT_COLUMNS``.
 
     Format: lines as ``errors.read_lines`` reads them, the header
@@ -385,6 +405,9 @@ def ingest(path) -> Table:
     diagnostics (non-numeric fields, a wrong field count, duplicate or empty
     names, nonpositive length/radius, or v_drill <= v_fill, which breaks the
     strict drilling inequality), or ParseError for bytes that are not UTF-8.
+    ``sink``, if given, is called as ``sink(names, values)`` on each block
+    of records that passes the bulk checks, with its stripped names and
+    its numbers row after row as one float64 array, in file order.
     """
     # the valid names so far, in file order, as the keys of a dict
     names: dict[str, None] = {}
@@ -396,7 +419,7 @@ def ingest(path) -> Table:
     header_seen = False
     start = 1
     for block in read_blocks(path):
-        records = None if diagnostics else _block_records(block, names, header_seen)
+        records = None if diagnostics else _block_records(block, names, header_seen, sink)
         if records is None:
             lines = numbered_lines(path, block, start)
             found, header_seen = _row_diagnostics(lines, names, header_seen)
@@ -483,10 +506,179 @@ def statistics(table: Table) -> DatasetStats:
     )
 
 
+def _report_columns(table: Table) -> dict[str, np.ndarray]:
+    return {col: table.names if col == "name" else table[col] for col in REPORT_COLUMNS}
+
+
 def write_report_csv(table: Table, path) -> None:
     """Write one row per record of an evaluated table with the standard report
     columns; floats at 12 significant digits, booleans as true/false."""
-    _write_csv(path, {col: table.names if col == "name" else table[col] for col in REPORT_COLUMNS})
+    _write_csv(path, _report_columns(table))
+
+
+# ---------------------------------------------------------------------------
+# Report worker
+
+
+# a notice on the worker's pipe: a frame's rows and the offset in the frames
+# file where the frame ends; rows _END ends the work
+_NOTICE = struct.Struct("=qq")
+_END = -1
+
+
+def _worker_helps() -> bool:
+    """Whether a worker process can format the report while ingest reads:
+    a second usable CPU, and no other Python thread, which a fork would
+    copy stopped in the child."""
+    return (
+        hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) > 1
+        and threading.active_count() == 1
+    )
+
+
+def _report_worker(notices: int, frames: int, out, tol: float) -> None:
+    """The worker's loop: read each frame noticed on the pipe ``notices``
+    from the file ``frames``, and write the report of its records, header
+    first, to ``out``, evaluated and formatted ``_CSV_CHUNK`` rows at a
+    time; return after the end notice, raise EOFError at the pipe's end
+    without it.  A frame holds its numbers row after row, then its names,
+    joined by newlines (a name holds none), in UTF-8."""
+    # free a mapped block of 8 MB, as ingest's freed tables are in the
+    # parent: malloc's mmap threshold rises to its size, so each chunk's
+    # temporaries are no longer mapped and unmapped on every use
+    np.empty(1 << 20)
+    out.write(_csv_header(REPORT_COLUMNS))
+    names, values, start = [], [], 0
+    pipe = os.fdopen(notices, "rb")
+    while True:
+        notice = pipe.read(_NOTICE.size)
+        if len(notice) < _NOTICE.size:
+            raise EOFError("the pipe closed before the end notice")
+        rows, end = _NOTICE.unpack(notice)
+        if rows != _END:
+            frame = os.pread(frames, end - start, start)
+            values.append(np.frombuffer(frame, np.float64, rows * len(INPUT_COLUMNS)))
+            names += frame[values[-1].nbytes :].split(b"\n")
+            start = end
+        ready = len(names) if rows == _END else len(names) - len(names) % _CSV_CHUNK
+        if ready:
+            records = np.concatenate(values).reshape(-1, len(INPUT_COLUMNS))
+            columns = records[:ready].T.copy()
+            chunk = Table(np.array(names[:ready], object), dict(zip(INPUT_COLUMNS, columns)))
+            for text in _csv_rows(_report_columns(evaluate(chunk, tol))):
+                out.write(text)
+            names, values = names[ready:], [records[ready:].ravel()]
+        if rows == _END:
+            out.flush()
+            return
+
+
+class ReportWriter:
+    """Writes ``verify``'s report, maybe with a worker process beside ingest.
+
+    Where ``_worker_helps``, a forked worker evaluates and formats the
+    report rows of each block that ``ingest`` hands to ``sink``, while
+    ingest reads on, into an unlinked temporary file; ``write`` then
+    copies its bytes to the report.  Otherwise, or if the worker fails,
+    ``sink`` is None or does nothing and ``write`` is ``write_report_csv``.
+    Either way the report is opened by ``write`` alone, and the bytes are
+    the same.  Blocks travel as frames appended to a second unlinked file,
+    each announced on a pipe (``_NOTICE``).  ``close``, or the end of a
+    ``with`` block, stops and reaps the worker on every path.
+    """
+
+    def __init__(self, tol: float = 0.0):
+        self.sink = self._pid = self._notices = None
+        self._files = []
+        if _worker_helps():
+            try:
+                self._start(tol)
+            except OSError:  # no temporary file, pipe or process to be had
+                self.close()
+
+    def _start(self, tol: float) -> None:
+        self._frames, self._out = self._files = [tempfile.TemporaryFile() for _ in range(2)]
+        notices, self._notices = os.pipe()
+        try:
+            self._pid = os.fork()
+            if self._pid == 0:
+                self._work(notices, tol)
+        finally:
+            os.close(notices)
+        self.sink = self._send
+
+    def _work(self, notices: int, tol: float) -> None:
+        """The worker's life after the fork: its output goes to the
+        temporary file alone, and it never returns."""
+        code = 1
+        try:
+            os.close(self._notices)
+            devnull = os.open(os.devnull, os.O_RDWR)
+            for fd in range(3):
+                os.dup2(devnull, fd)
+            _report_worker(notices, self._frames.fileno(), self._out, tol)
+            code = 0
+        finally:
+            os._exit(code)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def _send(self, names, values: np.ndarray) -> None:
+        """Hand the worker one block: its names and its numbers row after
+        row.  A full disk or a worker gone stops the worker for good."""
+        if self._pid is None:
+            return
+        try:
+            self._frames.write(values)
+            self._frames.write("\n".join(names).encode("utf-8"))
+            self._frames.flush()
+            rows = len(values) // len(INPUT_COLUMNS)
+            os.write(self._notices, _NOTICE.pack(rows, self._frames.tell()))
+        except OSError:
+            self._reap(stop=True)
+
+    def _reap(self, stop: bool) -> bool:
+        """Close the worker's pipe, killing the worker first if ``stop``,
+        wait for it, and say whether it finished its report."""
+        if stop:
+            os.kill(self._pid, signal.SIGKILL)
+        os.close(self._notices)
+        self._notices = None
+        pid, self._pid = self._pid, None
+        return os.waitpid(pid, 0)[1] == 0
+
+    def write(self, table: Table, path) -> None:
+        """Write the report of ``table``, the evaluated records that
+        ``ingest`` handed to ``sink``, to ``path``."""
+        done = False
+        if self._pid is not None:
+            try:
+                os.write(self._notices, _NOTICE.pack(_END, 0))
+            except OSError:  # the worker is gone, and reaped below
+                pass
+            done = self._reap(stop=False)
+        if not done:
+            write_report_csv(table, path)
+            return
+        with open(path, "wb") as handle:
+            offset = 0
+            while text := os.pread(self._out.fileno(), 1 << 16, offset):
+                handle.write(text)
+                offset += len(text)
+
+    def close(self) -> None:
+        if self._pid is not None:
+            self._reap(stop=True)
+        if self._notices is not None:  # the fork failed
+            os.close(self._notices)
+            self._notices = None
+        for file in self._files:
+            file.close()
 
 
 # ---------------------------------------------------------------------------

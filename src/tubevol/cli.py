@@ -135,23 +135,28 @@ def _print_summary(stats: census.DatasetStats) -> None:
         )
 
 
-def _evaluate_dataset(path: str, tol: float = 0.0) -> census.Table:
-    records = census.ingest(path)
+def _evaluate_dataset(path: str, tol: float = 0.0, sink=None) -> census.Table:
+    records = census.ingest(path, sink=sink)
     if not len(records):
         raise IngestError(["dataset contains no records"])
     return census.evaluate(records, tol=tol)
 
 
 def _cmd_verify(args) -> int:
-    reports = _evaluate_dataset(args.dataset, args.tol)
-    stats = census.statistics(reports)
-    report_path = args.report or args.dataset + ".report.csv"
-    if args.report is None and not os.path.isfile(args.dataset):
-        # a pipe or a device has no directory of its own to write beside
-        raise ParseError(f"dataset {args.dataset!r} is not a regular file; name a --report path")
-    if os.path.exists(report_path) and os.path.samefile(report_path, args.dataset):
-        raise ParseError(f"report path {report_path!r} is the dataset; it would be overwritten")
-    census.write_report_csv(reports, report_path)
+    # a worker process may format the report while ingest reads; the report
+    # is opened only once every check below has passed
+    with census.ReportWriter(args.tol) as writer:
+        reports = _evaluate_dataset(args.dataset, args.tol, writer.sink)
+        stats = census.statistics(reports)
+        report_path = args.report or args.dataset + ".report.csv"
+        if args.report is None and not os.path.isfile(args.dataset):
+            # a pipe or a device has no directory of its own to write beside
+            raise ParseError(
+                f"dataset {args.dataset!r} is not a regular file; name a --report path"
+            )
+        if os.path.exists(report_path) and os.path.samefile(report_path, args.dataset):
+            raise ParseError(f"report path {report_path!r} is the dataset; it would be overwritten")
+        writer.write(reports, report_path)
     print(f"report written to {report_path}")
     _print_summary(stats)
     if stats.violations["perelman"] > 0:

@@ -1,8 +1,10 @@
 import math
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tubevol import census, errors
@@ -149,6 +151,26 @@ class TestIngest:
             ingest(path)
         assert opened == [path]
 
+    def test_sink_gets_each_passing_block(self, tmp_path, monkeypatch):
+        # the blocks handed on, stripped, add up to the table; none of a
+        # failing file's blocks is handed on from the failing one on
+        records = synthesize(300, seed=4)
+        values = zip(*(records[key].tolist() for key in INPUT_COLUMNS))
+        rows = [f" m{i}\t," + ",".join(map(repr, row)) for i, row in enumerate(values)]
+        path = self.write(tmp_path, "\n".join(rows) + "\n")
+        monkeypatch.setattr(errors, "_BLOCK_CHARS", 1000)
+        blocks = []
+        table = ingest(path, sink=lambda names, values: blocks.append((list(names), values)))
+        assert len(blocks) > 2
+        assert [name for names, _ in blocks for name in names] == table.names.tolist()
+        numbers = np.concatenate([values for _, values in blocks]).reshape(-1, 4)
+        assert numbers.T.tobytes() == np.stack([table[key] for key in INPUT_COLUMNS]).tobytes()
+        path.write_text(path.read_text() + "m7,1.0,2.0,0.5,0.7\n")
+        handed = []
+        with pytest.raises(IngestError, match="duplicate"):
+            ingest(path, sink=lambda names, values: handed.append(list(names)))
+        assert handed == [names for names, _ in blocks[:-1]]
+
     def test_round_trip_bit_identical(self, tmp_path):
         records = synthesize(25, seed=11)
         path = tmp_path / "rt.csv"
@@ -211,6 +233,15 @@ class TestEvaluate:
         reports = evaluate(records)
         reversed_reports = evaluate(take(records, slice(None, None, -1)))
         assert tables_equal(take(reversed_reports, slice(None, None, -1)), reports)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 757, 2048, 4096, 65537])
+    def test_chunks_evaluate_to_the_same_bits(self, chunk):
+        # verify's report worker evaluates the records chunk by chunk
+        records = synthesize(min(70_000, 3000 * chunk), seed=17)
+        whole = evaluate(records)
+        parts = [evaluate(take(records, slice(i, i + chunk))) for i in range(0, len(records), chunk)]
+        for key, column in whole.columns.items():
+            assert np.concatenate([part[key] for part in parts]).tobytes() == column.tobytes()
 
     def test_tolerance_slack(self):
         tube = TubeData(0.8, 0.9)
@@ -460,3 +491,70 @@ class TestReportCsv:
         figs = figure_series(evaluate(table(("m1", 1.0, 2.0, 0.5, 0.3))))
         (path,) = census.write_figure_csv(figs["fig_overshoot_zoom"], tmp_path)
         assert open(path, "rb").read() == b"name,x,y,overshoot_old\n"
+
+
+# names with NUL bytes, non-ASCII text, more than the 15 bytes StringDType
+# holds inline, and space that ingest strips
+name_pieces = st.sampled_from(["a", "_", "\x00", "é", "名", " ", "多様体の測地線"])
+pads = st.sampled_from(["", " ", "\t", "\u3000"])
+
+
+@st.composite
+def datasets(draw):
+    """The lines of a valid dataset with awkward names."""
+    lines = [census._CSV_HEADER]
+    for i in range(draw(st.integers(1, 40))):
+        name = f"n{i}_" + "".join(draw(st.lists(name_pieces, max_size=6)))
+        pad = draw(pads)
+        values = draw(
+            st.tuples(
+                st.floats(0.1, 4.0), st.floats(4.5, 9.0), st.floats(0.05, 3.0), st.floats(0.05, 3.0)
+            )
+        )
+        lines.append(",".join([pad + name + pad, *map(repr, values)]))
+    return lines
+
+
+class TestReportWriter:
+    def written(self, path, tol: float = 0.0) -> bytes:
+        """The report of the dataset at ``path`` as verify writes it."""
+        report = path.with_suffix(".report")
+        with census.ReportWriter(tol) as writer:
+            reports = evaluate(ingest(path, sink=writer.sink), tol)
+            writer.write(reports, report)
+        return report.read_bytes()
+
+    def serial(self, path, tol: float = 0.0) -> bytes:
+        report = path.with_suffix(".serial")
+        write_report_csv(evaluate(ingest(path), tol), report)
+        return report.read_bytes()
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        lines=datasets(),
+        block=st.sampled_from([1, 7, 40, 1 << 16]),
+        chunk=st.sampled_from([1, 3, 5, 2048]),
+        tol=st.sampled_from([0.0, 1e-9]),
+    )
+    def test_worker_writes_the_serial_bytes(self, tmp_path, forks, lines, block, chunk, tol):
+        path = tmp_path / "census.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        calls = len(forks)
+        with mock.patch.object(errors, "_BLOCK_CHARS", block):
+            with mock.patch.object(census, "_CSV_CHUNK", chunk):
+                assert self.written(path, tol) == self.serial(path, tol)
+        assert len(forks) == calls + 1
+
+    def test_worker_writes_the_fixture(self, data_dir, tmp_path, forks):
+        path = tmp_path / "sample20.csv"
+        path.write_bytes((data_dir / "sample20.csv").read_bytes())
+        assert self.written(path) == self.serial(path)
+        assert forks == [os.getpid()]
+
+    def test_worker_stops_at_the_end_of_its_pipe(self, tmp_path):
+        # a parent gone without the end notice ends the worker's loop
+        read_end, write_end = os.pipe()
+        os.close(write_end)
+        with open(tmp_path / "frames", "wb+") as frames, open(tmp_path / "out", "wb") as out:
+            with pytest.raises(EOFError):
+                census._report_worker(read_end, frames.fileno(), out, 0.0)

@@ -1,15 +1,19 @@
 import math
 import os
+import select
 import shutil
 import subprocess
 import sys
+import tempfile
 import threading
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import tubevol
+from tubevol import census, errors
 from tubevol.cli import main
 
 HALF_LN3 = 0.5 * math.log(3.0)
@@ -246,6 +250,165 @@ def test_a_closed_stdout_exits_141_in_silence(data_dir, tmp_path, unbuffered):
         os.close(write_end)
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (141, b"")
+
+
+# dataset rows, and the exit code of verify on them
+EXITS = [
+    (["m1,1.0,2.0,0.5,0.7"], 0),
+    (["m1,1.0,2.0,0.5,0.7", "m2,2.0,1.0,0.5,0.7"], 1),
+    (["big,2.0,2.5,0.5,400"], 2),
+    (["m1,1.0,40.0,0.5,0.7"], 3),
+    (["m1,1.0,2.0,0.5,0.7"], 141),  # stdout closed
+]
+
+
+def serial_report(dataset, tol: float = 0.0) -> bytes:
+    """The report of a dataset as ``write_report_csv`` writes it."""
+    from tubevol import census
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "serial.csv"
+        census.write_report_csv(census.evaluate(census.ingest(dataset), tol), path)
+        return path.read_bytes()
+
+
+class TestVerifyWorker:
+    """verify with a worker process formatting its report beside ingest."""
+
+    @pytest.mark.parametrize("tol", [None, "1e-9"])
+    def test_report_bytes(self, capsys, tmp_path, data_dir, forks, tol):
+        report = tmp_path / "report.csv"
+        argv = ["verify", str(data_dir / "sample20.csv"), "--report", str(report)]
+        code, _, err = run(capsys, *argv, *(["--tol", tol] if tol else []))
+        assert (code, err) == (0, "")
+        assert forks == [os.getpid()]
+        assert report.read_bytes() == serial_report(data_dir / "sample20.csv", float(tol or 0))
+
+    def test_golden_names(self, capsys, tmp_path, forks):
+        # the names of report_golden.csv, over blocks and chunks that split
+        # unevenly
+        lines = [f"{('m_', 'é', 'c101_')[i % 3]}{i:02d},1.5,{1.6 + i / 1000!r},0.5,0.7" for i in range(32)]
+        dataset = tmp_path / "golden.csv"
+        dataset.write_text("name,v_fill,v_drill,length,radius\n" + "\n".join(lines) + "\n")
+        report = tmp_path / "report.csv"
+        with mock.patch.object(errors, "_BLOCK_CHARS", 90), mock.patch.object(census, "_CSV_CHUNK", 5):
+            assert run(capsys, "verify", str(dataset), "--report", str(report))[0] == 0
+        assert len(forks) == 1
+        assert report.read_bytes() == serial_report(dataset)
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failing_dataset_writes_no_report(self, capsys, tmp_path, data_dir, forks, existing):
+        # blocks of valid rows reach the worker before a late row fails
+        rows = (data_dir / "sample20.csv").read_text().splitlines()
+        dataset = tmp_path / "late.csv"
+        dataset.write_text("\n".join(rows + [rows[5]]) + "\n")
+        report = tmp_path / "report.csv"
+        if existing:
+            report.write_bytes(b"kept\n")
+        with mock.patch.object(errors, "_BLOCK_CHARS", 200):
+            code, out, err = run(capsys, "verify", str(dataset), "--report", str(report))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: line 22: duplicate name")
+        assert len(forks) == 1
+        if existing:
+            assert report.read_bytes() == b"kept\n"
+        else:
+            assert not report.exists()
+
+    def test_failing_formatter_falls_back(self, capsys, tmp_path, data_dir, forks, monkeypatch):
+        parent, float_cells = os.getpid(), census._float_cells
+
+        def failing_in_the_worker(x):
+            if os.getpid() != parent:
+                raise RuntimeError("the worker's formatter failed")
+            return float_cells(x)
+
+        monkeypatch.setattr(census, "_float_cells", failing_in_the_worker)
+        report = tmp_path / "report.csv"
+        code, _, err = run(capsys, "verify", str(data_dir / "sample20.csv"), "--report", str(report))
+        assert (code, err) == (0, "")
+        assert len(forks) == 1
+        monkeypatch.undo()
+        assert report.read_bytes() == serial_report(data_dir / "sample20.csv")
+
+    @pytest.mark.parametrize("failing", ["fork", "TemporaryFile"])
+    def test_no_worker_to_be_had(self, capsys, tmp_path, data_dir, monkeypatch, failing):
+        # a fork or a temporary file refused by the system leaves the serial
+        # writer, with no file descriptor closed twice
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        module = os if failing == "fork" else tempfile
+        monkeypatch.setattr(module, failing, mock.Mock(side_effect=BlockingIOError(11, "again")))
+        report = tmp_path / "report.csv"
+        argv = ["verify", str(data_dir / "sample20.csv"), "--report", str(report)]
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert report.read_bytes() == serial_report(data_dir / "sample20.csv")
+
+    @pytest.mark.parametrize("rows, code", EXITS[:4])
+    def test_no_worker_outlives_verify(self, capsys, tmp_path, forks, rows, code):
+        # the forks fixture finds no child left after each exit code
+        dataset = tmp_path / "data.csv"
+        dataset.write_text("name,v_fill,v_drill,length,radius\n" + "\n".join(rows) + "\n")
+        assert run(capsys, "verify", str(dataset), "--report", str(tmp_path / "r.csv"))[0] == code
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("why", ["one CPU", "a second thread"])
+    def test_no_fork_without_a_free_cpu(self, capsys, tmp_path, data_dir, monkeypatch, why):
+        monkeypatch.setattr(os, "fork", mock.Mock(side_effect=AssertionError("forked")))
+        stop = threading.Event()
+        if why == "one CPU":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            threading.Thread(target=stop.wait, daemon=True).start()
+        report = tmp_path / "report.csv"
+        try:
+            code, _, _ = run(capsys, "verify", str(data_dir / "sample20.csv"), "--report", str(report))
+        finally:
+            stop.set()
+        assert code == 0
+        assert report.read_bytes() == serial_report(data_dir / "sample20.csv")
+
+
+def test_verify_forks_without_a_warning(data_dir, tmp_path):
+    # Python 3.12 and later warn when a process with threads forks
+    argv = ["verify", str(data_dir / "sample20.csv"), "--report", str(tmp_path / "report.csv")]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::DeprecationWarning", "-m", "tubevol.cli", *argv],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(tubevol.__file__).parents[1])),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+@pytest.mark.skipif(
+    not (hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1),
+    reason="verify forks no worker on one CPU",
+)
+@pytest.mark.parametrize("rows, code", EXITS)
+def test_no_worker_outlives_a_verify_process(tmp_path, rows, code):
+    # every process that holds the write end of a pipe keeps its read end
+    # from seeing EOF, and a worker inherits it
+    dataset = tmp_path / "data.csv"
+    dataset.write_text("name,v_fill,v_drill,length,radius\n" + "\n".join(rows) + "\n")
+    held_read, held_write = os.pipe()
+    closed_read, closed_write = os.pipe()
+    os.close(closed_read)
+    stdout = {"stdout": closed_write} if code == 141 else {}
+    try:
+        argv = ["verify", str(dataset), "--report", str(tmp_path / "report.csv")]
+        proc = tubevol_process(*argv, pass_fds=(held_write,), **stdout)
+    finally:
+        os.close(held_write)
+        os.close(closed_write)
+    proc.communicate(timeout=60)
+    try:
+        assert proc.returncode == code
+        assert select.select([held_read], [], [], 0)[0], "a process still holds the pipe"
+        assert os.read(held_read, 1) == b""
+    finally:
+        os.close(held_read)
 
 
 class TestFigures:
