@@ -288,8 +288,8 @@ def _write_csv(path, columns: dict[str, np.ndarray], float_repr: bool = False) -
     ``_csv_rows`` gives them."""
     with open(path, "wb") as handle:
         handle.write(_csv_header(columns))
-        for rows in _csv_rows(columns, float_repr):
-            handle.write(rows)
+        # each chunk's bytes are freed before the next chunk is laid out
+        handle.writelines(_csv_rows(columns, float_repr))
 
 
 # ---------------------------------------------------------------------------
@@ -550,28 +550,27 @@ def _report_worker(notices: int, frames: int, out, tol: float) -> None:
     np.empty(1 << 20)
     out.write(_csv_header(REPORT_COLUMNS))
     names, values, start = [], [], 0
-    pipe = os.fdopen(notices, "rb")
-    while True:
-        notice = pipe.read(_NOTICE.size)
-        if len(notice) < _NOTICE.size:
-            raise EOFError("the pipe closed before the end notice")
-        rows, end = _NOTICE.unpack(notice)
-        if rows != _END:
-            frame = os.pread(frames, end - start, start)
-            values.append(np.frombuffer(frame, np.float64, rows * len(INPUT_COLUMNS)))
-            names += frame[values[-1].nbytes :].split(b"\n")
-            start = end
-        ready = len(names) if rows == _END else len(names) - len(names) % _CSV_CHUNK
-        if ready:
-            records = np.concatenate(values).reshape(-1, len(INPUT_COLUMNS))
-            columns = records[:ready].T.copy()
-            chunk = Table(np.array(names[:ready], object), dict(zip(INPUT_COLUMNS, columns)))
-            for text in _csv_rows(_report_columns(evaluate(chunk, tol))):
-                out.write(text)
-            names, values = names[ready:], [records[ready:].ravel()]
-        if rows == _END:
-            out.flush()
-            return
+    with os.fdopen(notices, "rb") as pipe:
+        while True:
+            notice = pipe.read(_NOTICE.size)
+            if len(notice) < _NOTICE.size:
+                raise EOFError("the pipe closed before the end notice")
+            rows, end = _NOTICE.unpack(notice)
+            if rows != _END:
+                frame = os.pread(frames, end - start, start)
+                values.append(np.frombuffer(frame, np.float64, rows * len(INPUT_COLUMNS)))
+                names += frame[values[-1].nbytes :].split(b"\n")
+                start = end
+            ready = len(names) if rows == _END else len(names) - len(names) % _CSV_CHUNK
+            if ready:
+                records = np.concatenate(values).reshape(-1, len(INPUT_COLUMNS))
+                columns = records[:ready].T.copy()
+                chunk = Table(np.array(names[:ready], object), dict(zip(INPUT_COLUMNS, columns)))
+                out.writelines(_csv_rows(_report_columns(evaluate(chunk, tol))))
+                names, values = names[ready:], [records[ready:].ravel()]
+            if rows == _END:
+                out.flush()
+                return
 
 
 class ReportWriter:

@@ -239,7 +239,8 @@ class TestEvaluate:
         # verify's report worker evaluates the records chunk by chunk
         records = synthesize(min(70_000, 3000 * chunk), seed=17)
         whole = evaluate(records)
-        parts = [evaluate(take(records, slice(i, i + chunk))) for i in range(0, len(records), chunk)]
+        starts = range(0, len(records), chunk)
+        parts = [evaluate(take(records, slice(i, i + chunk))) for i in starts]
         for key, column in whole.columns.items():
             assert np.concatenate([part[key] for part in parts]).tobytes() == column.tobytes()
 
@@ -529,7 +530,9 @@ class TestReportWriter:
         write_report_csv(evaluate(ingest(path), tol), report)
         return report.read_bytes()
 
-    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
     @given(
         lines=datasets(),
         block=st.sampled_from([1, 7, 40, 1 << 16]),

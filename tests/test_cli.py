@@ -287,12 +287,14 @@ class TestVerifyWorker:
     def test_golden_names(self, capsys, tmp_path, forks):
         # the names of report_golden.csv, over blocks and chunks that split
         # unevenly
-        lines = [f"{('m_', 'é', 'c101_')[i % 3]}{i:02d},1.5,{1.6 + i / 1000!r},0.5,0.7" for i in range(32)]
+        stems = ("m_", "é", "c101_")
+        lines = [f"{stems[i % 3]}{i:02d},1.5,{1.6 + i / 1000!r},0.5,0.7" for i in range(32)]
         dataset = tmp_path / "golden.csv"
         dataset.write_text("name,v_fill,v_drill,length,radius\n" + "\n".join(lines) + "\n")
         report = tmp_path / "report.csv"
-        with mock.patch.object(errors, "_BLOCK_CHARS", 90), mock.patch.object(census, "_CSV_CHUNK", 5):
-            assert run(capsys, "verify", str(dataset), "--report", str(report))[0] == 0
+        with mock.patch.object(errors, "_BLOCK_CHARS", 90):
+            with mock.patch.object(census, "_CSV_CHUNK", 5):
+                assert run(capsys, "verify", str(dataset), "--report", str(report))[0] == 0
         assert len(forks) == 1
         assert report.read_bytes() == serial_report(dataset)
 
@@ -325,7 +327,8 @@ class TestVerifyWorker:
 
         monkeypatch.setattr(census, "_float_cells", failing_in_the_worker)
         report = tmp_path / "report.csv"
-        code, _, err = run(capsys, "verify", str(data_dir / "sample20.csv"), "--report", str(report))
+        argv = ["verify", str(data_dir / "sample20.csv"), "--report", str(report)]
+        code, _, err = run(capsys, *argv)
         assert (code, err) == (0, "")
         assert len(forks) == 1
         monkeypatch.undo()
@@ -362,8 +365,9 @@ class TestVerifyWorker:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
             threading.Thread(target=stop.wait, daemon=True).start()
         report = tmp_path / "report.csv"
+        argv = ["verify", str(data_dir / "sample20.csv"), "--report", str(report)]
         try:
-            code, _, _ = run(capsys, "verify", str(data_dir / "sample20.csv"), "--report", str(report))
+            code, _, _ = run(capsys, *argv)
         finally:
             stop.set()
         assert code == 0
