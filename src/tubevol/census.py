@@ -406,8 +406,9 @@ def ingest(path, sink=None) -> Table:
     names, nonpositive length/radius, or v_drill <= v_fill, which breaks the
     strict drilling inequality), or ParseError for bytes that are not UTF-8.
     ``sink``, if given, is called as ``sink(names, values)`` on each block
-    of records that passes the bulk checks, with its stripped names and
-    its numbers row after row as one float64 array, in file order.
+    of records that passes the bulk checks, in file order, with an
+    iterator of its stripped names and its numbers row after row as one
+    float64 array.
     """
     # the valid names so far, in file order, as the keys of a dict
     names: dict[str, None] = {}

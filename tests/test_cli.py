@@ -264,8 +264,6 @@ EXITS = [
 
 def serial_report(dataset, tol: float = 0.0) -> bytes:
     """The report of a dataset as ``write_report_csv`` writes it."""
-    from tubevol import census
-
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "serial.csv"
         census.write_report_csv(census.evaluate(census.ingest(dataset), tol), path)
