@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -40,7 +41,6 @@ __all__ = [
     "evaluate_word",
     "is_infinity",
     "line_distance",
-    "line_distance_oracle",
     "point_distance",
     "read_presentation",
     "tube_radius_upper_bound",
@@ -351,72 +351,6 @@ def line_distance(g1: GeodesicLine, g2: GeodesicLine) -> ComplexDistance:
     return ComplexDistance(d, phi)
 
 
-def _points_on_line(line: GeodesicLine, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Arclength parameterization: images of (0, e^s) on the vertical axis
-    under the map taking (0, INFINITY) back to ``line``."""
-    m = _to_zero_infinity(line).inverse()
-    t = np.exp(s)
-    t2 = t * t
-    den = abs(m.d) ** 2 + (abs(m.c) ** 2) * t2
-    w = (m.b * np.conj(m.d) + m.a * np.conj(m.c) * t2) / den
-    return w, t / den
-
-
-def _pair_distances(g1: GeodesicLine, g2: GeodesicLine, s1: np.ndarray, s2: np.ndarray):
-    """Distances between the points at arclengths s1 on g1 and s2 on g2, as
-    a len(s1) x len(s2) matrix."""
-    w1, t1 = _points_on_line(g1, s1)
-    w2, t2 = _points_on_line(g2, s2)
-    return _distance(w1[:, None], t1[:, None], w2[None, :], t2[None, :])
-
-
-# re-grid window of the oracle's refinement: points per side, the
-# half-width (in arclength) at which it stops, and a cap on the windows for
-# pairs whose closest points lie out of reach (asymptotic lines)
-_REFINE_POINTS = 9
-_REFINE_HALF_WIDTH = 1e-9
-_REFINE_ROUNDS = 200
-
-
-def line_distance_oracle(
-    g1: GeodesicLine,
-    g2: GeodesicLine,
-    grid: int = 64,
-    span: float = 10.0,
-    refine: bool = True,
-) -> float:
-    """Brute-force minimal distance between two geodesics.
-
-    Both lines are parameterized by arclength over [-span, span]; the
-    minimum of the pairwise point distance over a grid x grid lattice is
-    then polished by a local search.  Intended as an independent check of
-    ``line_distance`` on non-asymptotic pairs whose common perpendicular
-    meets the parameterized segments.
-    """
-    if grid < 2:
-        raise DomainError("line_distance_oracle: grid must be >= 2")
-    s = np.linspace(-span, span, grid)
-    dmat = _pair_distances(g1, g2, s, s)
-    i, j = divmod(int(np.argmin(dmat)), grid)
-    best = float(dmat[i, j])
-    if not refine:
-        return best
-    # the distance is jointly convex in the two arclengths: re-grid a window
-    # about the best pair, and shrink it while the best pair stays inside
-    offsets = np.linspace(-1.0, 1.0, _REFINE_POINTS)
-    x1, x2, half = s[i], s[j], s[1] - s[0]
-    for _ in range(_REFINE_ROUNDS):
-        if half <= _REFINE_HALF_WIDTH:
-            break
-        window = _pair_distances(g1, g2, x1 + half * offsets, x2 + half * offsets)
-        k1, k2 = divmod(int(np.argmin(window)), _REFINE_POINTS)
-        best = min(best, float(window[k1, k2]))
-        x1, x2 = x1 + half * offsets[k1], x2 + half * offsets[k2]
-        if 0 < k1 < _REFINE_POINTS - 1 and 0 < k2 < _REFINE_POINTS - 1:
-            half *= 0.25
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Tube radius search
 
@@ -487,18 +421,152 @@ def _matrix(m: MobiusTransform) -> np.ndarray:
 _KEY_DIGITS = 9
 
 
-def _word_keys(words: np.ndarray) -> list[bytes]:
+def _word_keys(words: np.ndarray) -> np.ndarray:
     """One key per matrix of an (n, 2, 2) stack of products of
-    determinant-1 letters: the entries, signed so that the first entry of
-    largest modulus is positive (real part, then imaginary part), rounded to
-    _KEY_DIGITS."""
-    flat = words.reshape(-1, 4)
-    ref = flat[np.arange(len(flat)), np.argmax(np.abs(flat), axis=1)]
+    determinant-1 letters, as an (n, 8) uint64 array: the entries, signed so
+    that the first entry of largest modulus is positive (real part, then
+    imaginary part), rounded to _KEY_DIGITS.  Equal keys have equal bits."""
+    keys = words.reshape(-1, 4).copy()
+    ref = keys[np.arange(len(keys)), np.argmax(np.abs(keys), axis=1)]
     flip = (ref.real < 0) | ((ref.real == 0) & (ref.imag < 0))
-    flat = np.where(flip[:, None], -flat, flat)
-    # adding 0.0 turns -0.0 into 0.0, so equal keys have equal bytes
-    rounded = np.round(flat.view(np.float64), _KEY_DIGITS) + 0.0
-    return rounded.view(np.dtype((np.void, rounded.shape[1] * 8))).ravel().tolist()
+    np.negative(keys, out=keys, where=flip[:, None])
+    flat = keys.view(np.float64)
+    np.round(flat, _KEY_DIGITS, out=flat)
+    flat += 0.0  # turns -0.0 into 0.0
+    return flat.view(np.uint64)
+
+
+# odd multiplier of the key hash (the 64-bit golden ratio)
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _key_hashes(keys: np.ndarray) -> np.ndarray:
+    """One uint64 per key, mixed in from its words one at a time by xor,
+    multiply and xor-shift, modulo 2^64.  Equal keys have equal hashes;
+    unequal keys may too.  The shift carries each word's high bits (as the
+    sign of an entry) into the low bits of the next round."""
+    hashes = np.zeros(len(keys), dtype=np.uint64)
+    for column in keys.T:
+        hashes ^= column
+        hashes *= _HASH_MULTIPLIER
+        hashes ^= hashes >> 29
+    return hashes
+
+
+def _equal_rows(keys: np.ndarray, i, other: np.ndarray, j) -> np.ndarray:
+    """Whether keys[i] equals other[j], row by row, compared one column at
+    a time."""
+    equal = np.ones(len(i), dtype=bool)
+    for column, other_column in zip(keys.T, other.T):
+        equal &= column[i] == other_column[j]
+    return equal
+
+
+def _first_of_each_key(keys: np.ndarray, hashes: np.ndarray) -> np.ndarray:
+    """The lowest row of each distinct key, ordered by hash.
+
+    The rows are sorted stably by hash, so equal keys sit together in row
+    order unless a run of equal hashes holds two different keys; such a
+    level is sorted again by hash, then key, then row."""
+
+    def repeats(order):
+        h = hashes[order]
+        pair = np.flatnonzero(h[1:] == h[:-1])
+        return pair + 1, _equal_rows(keys, order[pair], keys, order[pair + 1])
+
+    order = np.argsort(hashes, kind="stable")
+    later, same = repeats(order)
+    if not same.all():
+        order = np.lexsort((*keys.T[::-1], hashes))
+        later, same = repeats(order)
+    first = np.ones(len(order), dtype=bool)
+    first[later[same]] = False
+    return order[first]
+
+
+def _seen_before(keys, hashes, rows, earlier_keys, earlier_hashes) -> np.ndarray:
+    """Whether the key of each of ``rows`` is among ``earlier_keys``, whose
+    ``earlier_hashes`` are sorted.  Each row is compared in full with every
+    earlier key of its hash."""
+    h = hashes[rows]
+    lo = np.searchsorted(earlier_hashes, h, "left")
+    count = np.searchsorted(earlier_hashes, h, "right") - lo
+    which = np.repeat(np.arange(len(rows)), count)
+    at = np.arange(len(which)) + np.repeat(lo - (np.cumsum(count) - count), count)
+    seen = np.zeros(len(rows), dtype=bool)
+    seen[which[_equal_rows(keys, rows[which], earlier_keys, at)]] = True
+    return seen
+
+
+class WordLevel(NamedTuple):
+    """The new words of one length, in breadth-first order: their matrices
+    in the frame where the core's axis is (0, INFINITY), their spellings as
+    indices into ``_letters(len(generators))``, and whether each ends with
+    the core word or its inverse."""
+
+    words: np.ndarray
+    spelling: np.ndarray
+    at_core: np.ndarray
+
+
+def _word_levels(g: GroupPresentation):
+    """Yield the WordLevel of each word length 1, 2, ... in turn, and stop
+    at the first length with no new word.
+
+    A word is new when it is reduced, does not begin with the core word or
+    its inverse, and its matrix (by ``_word_keys``) is not that of an
+    earlier word.  Words are in breadth-first order: shorter first, then by
+    parent, then by letter; so the first word of each matrix is the one
+    kept, and only new words are extended.  The keys of a level join those
+    of earlier levels, sorted by hash, when the next level is asked for.
+    """
+    letters = _letters(len(g.generators))
+    to_core = _to_zero_infinity(axis(g.core()))
+    letter_matrices = (
+        _matrix(to_core)
+        @ np.stack([_matrix(_letter_matrix(g.generators, letter)) for letter in letters])
+        @ _matrix(to_core.inverse())
+    )
+    # letters alternate generator, inverse: a, A, b, B, ...
+    inverse_letter = np.arange(len(letters)) ^ 1
+    core = np.array([letters.index(letter) for letter in g.core_word])
+    cores = np.stack([core, inverse_letter[core[::-1]]])  # the core word and its inverse
+
+    # the keys of the new words of earlier levels, sorted by hash
+    earlier_keys = np.empty((0, 8), dtype=np.uint64)
+    earlier_hashes = np.empty(0, dtype=np.uint64)
+    frontier = np.eye(2, dtype=complex)[None]
+    # the letters of each frontier word after len(core) places of -1, so
+    # that its last letter and its last len(core) letters are columns
+    spelling = np.full((1, len(core)), -1, dtype=np.int8)
+    for level in itertools.count():
+        parent = np.repeat(np.arange(len(frontier)), len(letters))
+        letter = np.tile(np.arange(len(letters), dtype=np.int8), len(frontier))
+        reduced = inverse_letter[letter] != spelling[parent, -1]
+        parent, letter = parent[reduced], letter[reduced]
+        rows = np.column_stack([spelling[parent], letter])
+        at_core = (rows[:, None, -len(core) :] == cores).all(axis=2).any(axis=1)
+        if level + 1 == len(core):  # words as long as the core end with it iff they begin with it
+            parent, letter, rows, at_core = (x[~at_core] for x in (parent, letter, rows, at_core))
+        words = frontier[parent] @ letter_matrices[letter]
+        del parent, letter
+        if not np.isfinite(words).all():
+            raise DomainError("tube_radius_upper_bound: word entries overflow")
+        keys = _word_keys(words)
+        hashes = _key_hashes(keys)
+        new = _first_of_each_key(keys, hashes)
+        new = new[~_seen_before(keys, hashes, new, earlier_keys, earlier_hashes)]
+        fresh = np.zeros(len(words), dtype=bool)
+        fresh[new] = True
+        frontier, spelling = words[fresh], rows[fresh]
+        del words, rows
+        if not len(frontier):  # longer words extend new ones only, so none is left
+            return
+        yield WordLevel(frontier, spelling[:, len(core) :], at_core[fresh])
+        at = np.searchsorted(earlier_hashes, hashes[new])
+        earlier_keys = np.insert(earlier_keys, at, keys[new], axis=0)
+        earlier_hashes = np.insert(earlier_hashes, at, hashes[new])
+        del keys, hashes
 
 
 class TubeRadiusResult(NamedTuple):
@@ -523,62 +591,26 @@ def tube_radius_upper_bound(
     matrices are searched once.  Returns radius = inf with witness None when
     no distinct lift shows up within the search.
 
-    The search runs one word length at a time on arrays, in the frame where
-    the core's axis is (0, INFINITY).  Words are kept in breadth-first order
-    (shorter first, then by parent, then by letter), and the first word at
-    the minimal distance is the witness.
+    The search takes the levels of ``_word_levels`` one word length at a
+    time, and the first word at the minimal distance in breadth-first order
+    is the witness.
     """
     if max_word_length < 1:
         raise DomainError("tube_radius_upper_bound: max_word_length must be >= 1")
     letters = _letters(len(g.generators))
-    to_core = _to_zero_infinity(axis(g.core()))
-    letter_matrices = (
-        _matrix(to_core)
-        @ np.stack([_matrix(_letter_matrix(g.generators, letter)) for letter in letters])
-        @ _matrix(to_core.inverse())
-    )
-    # letters alternate generator, inverse: a, A, b, B, ...
-    inverse_letter = np.arange(len(letters)) ^ 1
-    core = np.array([letters.index(letter) for letter in g.core_word])
-    cores = np.stack([core, inverse_letter[core[::-1]]])  # the core word and its inverse
-
     best_d, witness = math.inf, None
-    seen: set[bytes] = set()
-    frontier = np.eye(2, dtype=complex)[None]
-    # the letters of each frontier word after len(core) places of -1, so
-    # that its last letter and its last len(core) letters are columns
-    spelling = np.full((1, len(core)), -1, dtype=np.int8)
-    for level in range(max_word_length):
-        parent = np.repeat(np.arange(len(frontier)), len(letters))
-        letter = np.tile(np.arange(len(letters), dtype=np.int8), len(frontier))
-        reduced = inverse_letter[letter] != spelling[parent, -1]
-        parent, letter = parent[reduced], letter[reduced]
-        rows = np.column_stack([spelling[parent], letter])
-        at_core = (rows[:, None, -len(core) :] == cores).all(axis=2).any(axis=1)
-        if level + 1 == len(core):  # words as long as the core end with it iff they begin with it
-            parent, letter, rows, at_core = (x[~at_core] for x in (parent, letter, rows, at_core))
-        words = frontier[parent] @ letter_matrices[letter]
-        if not np.isfinite(words).all():
-            raise DomainError("tube_radius_upper_bound: word entries overflow")
-        fresh = np.zeros(len(words), dtype=bool)
-        for i, key in enumerate(_word_keys(words)):
-            if key not in seen:
-                seen.add(key)
-                fresh[i] = True
-        frontier, spelling = words[fresh], rows[fresh]
-        if not len(frontier):  # longer words extend fresh ones only, so none is left
-            break
+    for words, spelling, at_core in itertools.islice(_word_levels(g), max_word_length):
         # a word whose off-diagonal or diagonal entries vanish fixes the axis
-        mag = np.abs(frontier).reshape(-1, 4)
+        mag = np.abs(words).reshape(-1, 4)
         tol = _FIXES_AXIS_TOL * mag.max(axis=1)
         fixes = np.minimum(mag[:, 1:3].max(axis=1), mag[:, ::3].max(axis=1)) <= tol
-        moved = np.flatnonzero(~(fixes | at_core[fresh]))
+        moved = np.flatnonzero(~(fixes | at_core))
         if len(moved):
-            d = np.maximum(_axis_distance(frontier[moved]).real, 0.0)
+            d = np.maximum(_axis_distance(words[moved]).real, 0.0)
             j = int(np.argmin(d))
             if d[j] < best_d:
                 best_d = float(d[j])
-                witness = "".join(letters[i] for i in spelling[moved[j], len(core) :])
+                witness = "".join(letters[i] for i in spelling[moved[j]])
     return TubeRadiusResult(0.5 * best_d, witness)
 
 
@@ -589,11 +621,16 @@ def tube_radius_upper_bound(
 def read_presentation(path) -> GroupPresentation:
     """Read a presentation from ``errors.read_lines``: one to 26 generators,
     one per line as eight decimals (re/im of a, b, c, d), then a line
-    ``core: <word>`` spelled with their letters."""
+    ``core: <word>`` spelled with their letters; a second ``core:`` line
+    is an error."""
     generators = []
     core_word = None
     for lineno, line in read_lines(path):
         if line.startswith("core:"):
+            if core_word is not None:
+                raise ParseError(
+                    f"{path}: line {lineno}: a second 'core:' line (the first is line {core_line})"
+                )
             core_word, core_line = line[len("core:") :].strip(), lineno
             continue
         parts = line.split()

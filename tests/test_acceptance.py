@@ -33,7 +33,6 @@ from tubevol.kleinian import (
     GroupPresentation,
     MobiusTransform,
     line_distance,
-    line_distance_oracle,
     tube_radius_upper_bound,
 )
 from tubevol.surgery import ConeProfile, bridgeman_check, neumann_zagier_estimate, schlafli_delta_v
@@ -43,6 +42,8 @@ from tubevol.topobounds import (
     haken_double_bound,
     miyamoto_lower_bound,
 )
+
+from kleinian_reference import line_distance_oracle
 
 HALF_LN3 = 0.5 * math.log(3.0)
 TAU = 2.0 * math.pi

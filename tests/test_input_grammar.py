@@ -155,6 +155,7 @@ def test_profile(lengths, angles, header, bom, bad_byte):
 @given(
     generators=st.lists(st.lists(numbers, min_size=8, max_size=8), min_size=1, max_size=2),
     core=st.sampled_from(["a", "A", "ab"]),
+    first_core=st.none() | st.sampled_from(["a", "b"]),
     bom=st.booleans(),
     bad_byte=bad_bytes,
 )
@@ -163,29 +164,48 @@ def test_profile(lengths, angles, header, bom, bad_byte):
 @example(
     generators=[["1e300", "0", "1e300", "0", "0", "0", "1e-300", "0"]],
     core="a",
+    first_core=None,
     bom=False,
     bad_byte=None,
 )
 @example(
     generators=[["1_0.06", "0", "0", "0", "0", "0", "0.1", "0"]],
     core="a",
+    first_core=None,
     bom=False,
     bad_byte=None,
 )
 @example(
-    generators=[["2", "0", "0", "0", "0", "0", "0.5", "0"]], core="a", bom=False, bad_byte=5
+    generators=[["2", "0", "0", "0", "0", "0", "0.5", "0"]],
+    core="a",
+    first_core=None,
+    bom=False,
+    bad_byte=5,
 )
 # ad - bc overflowed to nan, which passed every determinant check
 @example(
     generators=[["1e308", "1e308", "1e308", "1e308", "5e-324", "0.0", "1e308", "1e308"]],
     core="a",
+    first_core=None,
     bom=False,
     bad_byte=None,
 )
-def test_presentation(generators, core, bom, bad_byte):
+# the second core line replaced the first, and the run went on with it
+@example(
+    generators=[["2", "0", "0", "0", "0", "0", "0.5", "0"], ["1", "0", "1", "0", "1", "0", "2", "0"]],
+    core="a",
+    first_core="b",
+    bom=False,
+    bad_byte=None,
+)
+def test_presentation(generators, core, first_core, bom, bad_byte):
     lines = [" ".join(entries) for entries in generators] + [f"core: {core}"]
+    if first_core is not None:
+        lines.insert(0, f"core: {first_core}")
     outcome = _run_file("group.txt", lines, bom, bad_byte, ["tube-radius", "{path}"])
     _check(outcome, [t for entries in generators for t in entries], bad_byte)
+    if first_core is not None:  # the second core line is an input error
+        assert outcome[0] in (1, 2), outcome
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,8 @@
 import cmath
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,11 +22,13 @@ from tubevol.kleinian import (
     evaluate_word,
     is_infinity,
     line_distance,
-    line_distance_oracle,
     point_distance,
     read_presentation,
     tube_radius_upper_bound,
 )
+
+import kleinian_reference
+from kleinian_reference import line_distance_oracle
 
 LN2 = math.log(2.0)
 
@@ -464,6 +468,102 @@ class TestTubeRadius:
             tube_radius_upper_bound(self.fixture_presentation(), 0)
 
 
+def rotation(order: int) -> MobiusTransform:
+    """Rotation by 2 pi / order about the axis (0, INFINITY)."""
+    half = cmath.exp(1j * math.pi / order)
+    return MobiusTransform(half, 0.0, 0.0, 1.0 / half)
+
+
+def _random_mobius(rng) -> MobiusTransform:
+    while True:
+        m = rng.uniform(-3.0, 3.0, 4) + 1j * rng.uniform(-3.0, 3.0, 4)
+        if abs(m[0] * m[3] - m[1] * m[2]) > 0.1:
+            return MobiusTransform(*m)
+
+
+def _group_with_repeats(kind: int, seed: int) -> GroupPresentation:
+    """A two-generator group with relations short enough that the search
+    meets a matrix twice by word length 6: for kind 2..6, a rotation of
+    that order beside a loxodromic core b; for kind 0 and 1, the parabolics
+    [[1, 1], [0, 1]] and [[1, 0], [w, 1]] with core ab, for w = 1 (a
+    subgroup of PSL(2, Z)) and w = -exp(2 pi i / 3) (the figure-eight knot
+    group).  Each generator is moved by a conjugator drawn from ``seed``,
+    the loxodromic by its own one too.  Generic conjugators keep entries in
+    the core's frame off the real and imaginary axes, where rounding noise
+    would pick the sign that ``_word_keys`` gives two equal matrices."""
+    rng = np.random.default_rng(seed)
+    c = _random_mobius(rng)
+    if kind < 2:
+        w = (1.0, complex(0.5, -math.sqrt(3.0) / 2.0))[kind]
+        parabolics = (MobiusTransform(1.0, 1.0, 0.0, 1.0), MobiusTransform(1.0, 0.0, w, 1.0))
+        return GroupPresentation(tuple(c @ p @ c.inverse() for p in parabolics), "ab")
+    half = cmath.exp(complex(rng.uniform(0.3, 1.5), rng.uniform(-3.0, 3.0)) / 2.0)
+    e = _random_mobius(rng)
+    b = e @ MobiusTransform(half, 0.0, 0.0, 1.0 / half) @ e.inverse()
+    return GroupPresentation((c @ rotation(kind) @ c.inverse(), b), "b")
+
+
+def reference_search(pres: GroupPresentation, k: int):
+    """The reference search's result, and how many words it dropped as
+    repeats of a word of the same length and of a shorter word."""
+    levels = []
+
+    def word_keys(words):
+        levels.append(real_word_keys(words))
+        return levels[-1]
+
+    real_word_keys = kleinian_reference._word_keys
+    with mock.patch.object(kleinian_reference, "_word_keys", word_keys):
+        result = kleinian_reference.tube_radius_upper_bound(pres, k)
+    within = across = 0
+    seen: set[bytes] = set()
+    for keys in levels:
+        level: set[bytes] = set()
+        for key in keys:
+            if key in seen:
+                across += 1
+            elif key in level:
+                within += 1
+            else:
+                level.add(key)
+        seen |= level
+    return result, within, across
+
+
+def assert_same_search(pres: GroupPresentation, k: int):
+    """The search gives the reference's radius and witness bit for bit;
+    returns the reference's counts of repeated words."""
+    expected, within, across = reference_search(pres, k)
+    result = tube_radius_upper_bound(pres, k)
+    assert result.witness == expected.witness
+    assert result.radius.hex() == expected.radius.hex()
+    return within, across
+
+
+class TestSearchMatchesReference:
+    @pytest.mark.parametrize(
+        "name, k", [("two_gen", 8), ("single_gen", 6), ("figure_eight", 9)]
+    )
+    def test_fixtures(self, data_dir, name, k):
+        pres = read_presentation(data_dir / f"{name}.txt")
+        for length in range(1, k + 1):
+            assert_same_search(pres, length)
+
+    @given(st.integers(0, 6), st.integers(0, 2**32 - 1), st.integers(5, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_groups_with_repeated_words(self, kind, seed, k):
+        within, across = assert_same_search(_group_with_repeats(kind, seed), k)
+        assert within + across > 0
+
+    def test_every_hash_colliding(self, data_dir, monkeypatch):
+        # with one hash for every key, only the full comparison of keys
+        # tells words apart
+        monkeypatch.setattr(kleinian, "_key_hashes", lambda keys: np.zeros(len(keys), np.uint64))
+        pres = read_presentation(data_dir / "figure_eight.txt")
+        within, across = assert_same_search(pres, 7)
+        assert within > 0 and across > 0
+
+
 class TestPresentationFile:
     def test_read_fixture(self, data_dir):
         pres = read_presentation(data_dir / "two_gen.txt")
@@ -480,6 +580,12 @@ class TestPresentationFile:
         path = tmp_path / "bad.txt"
         path.write_text("2 0 0 0 0 0 0.5 0\n")
         with pytest.raises(ParseError):
+            read_presentation(path)
+
+    def test_second_core_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("core: b\n2 0 0 0 0 0 0.5 0\n1 0 1 0 1 0 2 0\ncore: a\n")
+        with pytest.raises(ParseError, match="line 4: a second 'core:' line"):
             read_presentation(path)
 
     def test_wrong_field_count(self, tmp_path):
