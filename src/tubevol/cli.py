@@ -143,6 +143,8 @@ def _evaluate_dataset(path: str, tol: float = 0.0, sink=None) -> census.Table:
 
 
 def _cmd_verify(args) -> int:
+    if args.report == "":
+        raise ParseError("the report path is empty; name a report file")
     # a worker process may format the report while ingest reads; the report
     # is opened only once every check below has passed
     with census.ReportWriter(args.tol) as writer:
@@ -216,20 +218,26 @@ def _cmd_tube_radius(args) -> int:
 def _cmd_surgery(args) -> int:
     profile = surgery.read_profile(args.profile)
     result = surgery.bridgeman_check(profile)
-    print(f"delta_v trapezoid  {_fmt(result.delta_v)}")
     try:
-        delta_simp = surgery.schlafli_delta_v(profile, "simpson")
-        print(f"delta_v simpson    {_fmt(delta_simp)}")
+        delta_simp = _fmt(surgery.schlafli_delta_v(profile, "simpson"))
     except DomainError:
-        print("delta_v simpson    n/a (needs uniform spacing and odd sample count)")
+        delta_simp = "n/a (needs uniform spacing and odd sample count)"
     final_length = profile.lengths[-1]
-    print(f"nz_estimate        {_fmt(surgery.neumann_zagier_estimate(final_length))}")
-    print(f"monotone           {'true' if result.monotone else 'false'}")
-    print(f"bound delta_v<=piL {'true' if result.bound_holds else 'false'}")
-    print(f"pi_l               {_fmt(result.pi_l)}")
+    # every row is computed before the first is printed, so that an error
+    # prints no partial table
+    rows = [
+        ("delta_v trapezoid", _fmt(result.delta_v)),
+        ("delta_v simpson", delta_simp),
+        ("nz_estimate", _fmt(surgery.neumann_zagier_estimate(final_length))),
+        ("monotone", "true" if result.monotone else "false"),
+        ("bound delta_v<=piL", "true" if result.bound_holds else "false"),
+        ("pi_l", _fmt(result.pi_l)),
+    ]
     if args.radius is not None:
         flag = surgery.hodgson_kerckhoff_regime(final_length, args.radius)
-        print(f"hk_regime          {'true' if flag else 'false'}")
+        rows.append(("hk_regime", "true" if flag else "false"))
+    for name, value in rows:
+        print(f"{name:<18} {value}")
     return 0
 
 
@@ -241,6 +249,8 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    if args.gromov_norm is not None and args.chi is None:
+        raise ParseError("--gromov-norm needs --chi: the guts bound takes both")
     rows = []
     if args.chi is not None:
         if args.gromov_norm is not None:

@@ -462,40 +462,31 @@ def _equal_rows(keys: np.ndarray, i, other: np.ndarray, j) -> np.ndarray:
     return equal
 
 
-def _first_of_each_key(keys: np.ndarray, hashes: np.ndarray) -> np.ndarray:
-    """The lowest row of each distinct key, ordered by hash.
+def _new_rows(keys, hashes, earlier_keys, earlier_hashes) -> np.ndarray:
+    """The lowest row of each distinct key of ``keys`` that is not among
+    ``earlier_keys``, ordered by hash; ``earlier_hashes`` are sorted.
 
-    The rows are sorted stably by hash, so equal keys sit together in row
-    order unless a run of equal hashes holds two different keys; such a
-    level is sorted again by hash, then key, then row."""
-
-    def repeats(order):
-        h = hashes[order]
-        pair = np.flatnonzero(h[1:] == h[:-1])
-        return pair + 1, _equal_rows(keys, order[pair], keys, order[pair + 1])
-
+    The rows are sorted stably by hash, so the first row of each hash is the
+    lowest row of its key, which is then looked up at one place among the
+    earlier hashes.  Every row of a repeated hash and every match is compared
+    in full; if two different keys share a hash, the level is decided by the
+    64 bytes of the keys instead."""
     order = np.argsort(hashes, kind="stable")
-    later, same = repeats(order)
-    if not same.all():
-        order = np.lexsort((*keys.T[::-1], hashes))
-        later, same = repeats(order)
-    first = np.ones(len(order), dtype=bool)
-    first[later[same]] = False
-    return order[first]
-
-
-def _seen_before(keys, hashes, rows, earlier_keys, earlier_hashes) -> np.ndarray:
-    """Whether the key of each of ``rows`` is among ``earlier_keys``, whose
-    ``earlier_hashes`` are sorted.  Each row is compared in full with every
-    earlier key of its hash."""
+    repeat = np.flatnonzero(hashes[order[1:]] == hashes[order[:-1]]) + 1
+    rows = np.delete(order, repeat)
     h = hashes[rows]
-    lo = np.searchsorted(earlier_hashes, h, "left")
-    count = np.searchsorted(earlier_hashes, h, "right") - lo
-    which = np.repeat(np.arange(len(rows)), count)
-    at = np.arange(len(which)) + np.repeat(lo - (np.cumsum(count) - count), count)
-    seen = np.zeros(len(rows), dtype=bool)
-    seen[which[_equal_rows(keys, rows[which], earlier_keys, at)]] = True
-    return seen
+    at = np.searchsorted(earlier_hashes, h)
+    found = np.flatnonzero(at < len(earlier_hashes))
+    found = found[earlier_hashes[at[found]] == h[found]]
+    if (
+        _equal_rows(keys, order[repeat], keys, order[repeat - 1]).all()
+        and _equal_rows(keys, rows[found], earlier_keys, at[found]).all()
+    ):
+        return np.delete(rows, found)
+    every = np.concatenate([earlier_keys, keys]).view(np.dtype((np.void, 64)))
+    rows = np.unique(every.ravel(), return_index=True)[1] - len(earlier_keys)
+    rows = rows[rows >= 0]
+    return rows[np.argsort(hashes[rows], kind="stable")]
 
 
 class WordLevel(NamedTuple):
@@ -554,8 +545,7 @@ def _word_levels(g: GroupPresentation):
             raise DomainError("tube_radius_upper_bound: word entries overflow")
         keys = _word_keys(words)
         hashes = _key_hashes(keys)
-        new = _first_of_each_key(keys, hashes)
-        new = new[~_seen_before(keys, hashes, new, earlier_keys, earlier_hashes)]
+        new = _new_rows(keys, hashes, earlier_keys, earlier_hashes)
         fresh = np.zeros(len(words), dtype=bool)
         fresh[new] = True
         frontier, spelling = words[fresh], rows[fresh]
@@ -563,6 +553,8 @@ def _word_levels(g: GroupPresentation):
         if not len(frontier):  # longer words extend new ones only, so none is left
             return
         yield WordLevel(frontier, spelling[:, len(core) :], at_core[fresh])
+        # rows inserted at one place keep their order, and the new rows
+        # come ordered by hash, so the earlier hashes stay sorted
         at = np.searchsorted(earlier_hashes, hashes[new])
         earlier_keys = np.insert(earlier_keys, at, keys[new], axis=0)
         earlier_hashes = np.insert(earlier_hashes, at, hashes[new])

@@ -154,7 +154,7 @@ def read_profile(path) -> ConeProfile:
         parts = [p.strip() for p in line.split(",")]
         if first_data:
             first_data = False
-            if parts[:2] == ["theta", "length"]:
+            if parts == ["theta", "length"]:
                 continue
         if len(parts) != 2:
             raise ParseError(f"{path}: line {lineno}: expected 2 columns")

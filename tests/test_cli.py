@@ -178,6 +178,22 @@ class TestVerify:
         assert run(capsys, "verify", str(dataset))[0] == 0
 
 
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_empty_report_path_refused(self, capsys, tmp_path, data_dir, via_config):
+        # an empty path once meant the default one, written with no check
+        dataset = tmp_path / "census.csv"
+        shutil.copy(data_dir / "sample20.csv", dataset)
+        if via_config:
+            config = tmp_path / "run.conf"
+            config.write_text("report =\n")
+            code, out, err = run(capsys, "--config", str(config), "verify", str(dataset))
+        else:
+            code, out, err = run(capsys, "verify", str(dataset), "--report", "")
+        assert (code, out) == (1, "")
+        assert err == "error: the report path is empty; name a report file\n"
+        assert sorted(os.listdir(tmp_path)) == sorted(["census.csv"] + ["run.conf"] * via_config)
+
+
 # line 3 breaks the strict drilling inequality
 FAILING_ROWS = b"name,v_fill,v_drill,length,radius\nm1,1.0,2.0,0.5,0.7\nm2,2.0,1.0,0.5,0.7\n"
 LINE_3_ERROR = (
@@ -229,6 +245,17 @@ def test_verify_wants_a_report_path_for_a_dataset_from_stdin(data_dir):
     assert (proc.returncode, out) == (1, b"")
     assert err.startswith(b"error: dataset '/dev/stdin' is not a regular file")
     assert len(err.splitlines()) == 1
+    assert default.exists() == existed
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_verify_refuses_an_empty_report_path_for_a_dataset_from_stdin(data_dir):
+    default = Path("/dev/stdin.report.csv")
+    existed = default.exists()
+    proc = tubevol_process("verify", "/dev/stdin", "--report", "", stdin=subprocess.PIPE)
+    out, err = proc.communicate((data_dir / "sample20.csv").read_bytes(), timeout=60)
+    assert (proc.returncode, out) == (1, b"")
+    assert err == b"error: the report path is empty; name a report file\n"
     assert default.exists() == existed
 
 
@@ -628,6 +655,18 @@ class TestSurgery:
         assert code == 0
         assert "n/a" in out
 
+    def test_domain_error_prints_no_result(self, capsys, data_dir):
+        code, out, err = run(capsys, "surgery", str(data_dir / "profile_ramp.csv"), "--radius", "0")
+        assert (code, out) == (2, "")
+        assert err == "domain error: hodgson_kerckhoff_regime: radius must be positive\n"
+
+    def test_header_with_extra_column(self, capsys, tmp_path):
+        path = tmp_path / "profile.csv"
+        path.write_text("theta,length,extra\n0,0.1\n6.283185307179586,0.3\n")
+        code, out, err = run(capsys, "surgery", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: line 1: expected 2 columns\n"
+
     def test_malformed_profile(self, capsys, tmp_path):
         path = tmp_path / "profile.csv"
         path.write_text("theta,length\n0,0.1\nnope\n")
@@ -697,6 +736,12 @@ class TestBounds:
         code, _, err = run(capsys, "bounds")
         assert code == 1
         assert "invariant" in err
+
+    @pytest.mark.parametrize("others", [[], ["--twist", "4"], ["--double-norm", "2"]])
+    def test_gromov_norm_without_chi(self, capsys, others):
+        code, out, err = run(capsys, "bounds", "--gromov-norm", "8", *others)
+        assert (code, out) == (1, "")
+        assert err == "error: --gromov-norm needs --chi: the guts bound takes both\n"
 
     def test_domain_error(self, capsys):
         code, _, _ = run(capsys, "bounds", "--chi", "2")

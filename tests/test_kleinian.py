@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 from unittest import mock
 
@@ -562,6 +563,101 @@ class TestSearchMatchesReference:
         pres = read_presentation(data_dir / "figure_eight.txt")
         within, across = assert_same_search(pres, 7)
         assert within > 0 and across > 0
+
+
+def _generic_group(seed: int) -> GroupPresentation:
+    """Two generators drawn from ``seed`` by ``_random_mobius``, core a."""
+    rng = np.random.default_rng(seed)
+    return GroupPresentation((_random_mobius(rng), _random_mobius(rng)), "a")
+
+
+def _search_groups(data_dir):
+    return {
+        "figure_eight": read_presentation(data_dir / "figure_eight.txt"),
+        "generic_1": _generic_group(1),
+        "generic_2": _generic_group(2),
+    }
+
+
+@pytest.fixture
+def checked_new_rows(monkeypatch):
+    """``_new_rows`` wrapped to check, at every level, that the earlier
+    hashes are sorted and that the new rows come ordered by hash, so that
+    inserting them keeps the earlier hashes sorted.  Returns how many levels
+    had two new keys of one hash, and how many had a new key whose hash an
+    earlier key has."""
+    counts = {"within": 0, "across": 0}
+    real = kleinian._new_rows
+
+    def new_rows(keys, hashes, earlier_keys, earlier_hashes):
+        assert (earlier_hashes[1:] >= earlier_hashes[:-1]).all()
+        new = real(keys, hashes, earlier_keys, earlier_hashes)
+        h = hashes[new]
+        assert (h[1:] >= h[:-1]).all()
+        counts["within"] += bool((h[1:] == h[:-1]).any())
+        counts["across"] += bool(np.isin(h, earlier_hashes).any())
+        return new
+
+    monkeypatch.setattr(kleinian, "_new_rows", new_rows)
+    return counts
+
+
+def _levels(pres: GroupPresentation, k: int) -> list[bytes]:
+    """The first k levels of the search, as bytes."""
+    return [
+        b"".join(x.dtype.str.encode() + repr(x.shape).encode() + x.tobytes() for x in level)
+        for level in itertools.islice(kleinian._word_levels(pres), k)
+    ]
+
+
+class TestNewRows:
+    """The search's levels do not depend on how its hashes collide."""
+
+    @pytest.mark.parametrize("group", ["figure_eight", "generic_1", "generic_2"])
+    @pytest.mark.parametrize("hash_bits", [0, 4])
+    def test_colliding_hashes(self, data_dir, monkeypatch, checked_new_rows, group, hash_bits):
+        pres = _search_groups(data_dir)[group]
+        expected = _levels(pres, 9)
+        real = kleinian._key_hashes
+        mask = np.uint64(2**hash_bits - 1)
+        assert checked_new_rows == {"within": 0, "across": 0}  # the real hash
+        monkeypatch.setattr(kleinian, "_key_hashes", lambda keys: real(keys) & mask)
+        assert _levels(pres, 9) == expected
+        assert checked_new_rows["within"] > 0 and checked_new_rows["across"] > 0
+
+    @pytest.mark.parametrize("group", ["generic_1", "generic_2"])
+    def test_hashes_colliding_across_levels_only(
+        self, data_dir, monkeypatch, checked_new_rows, group
+    ):
+        # no two words of these groups share a matrix by length 9, so the
+        # rank of a key among the distinct keys of its level is a hash on
+        # them: it never collides within a level and always with earlier ones
+        pres = _search_groups(data_dir)[group]
+        expected = _levels(pres, 9)
+
+        def rank(keys):
+            rows = keys.view(np.dtype((np.void, 64))).ravel()
+            return np.unique(rows, return_inverse=True)[1].astype(np.uint64)
+
+        assert checked_new_rows == {"within": 0, "across": 0}  # the real hash
+        monkeypatch.setattr(kleinian, "_key_hashes", rank)
+        assert _levels(pres, 9) == expected
+        assert checked_new_rows["within"] == 0 and checked_new_rows["across"] == 8
+
+
+def test_tube_radius_golden(capsys, data_dir):
+    # stdout of tube-radius on every fixture at k = 1..10, as first
+    # recorded: the radius and the witness word must not change
+    from tubevol.cli import main
+
+    out = []
+    for name in ("figure_eight.txt", "single_gen.txt", "two_gen.txt"):
+        for k in range(1, 11):
+            argv = ["tube-radius", str(data_dir / name), "--max-word-length", str(k)]
+            assert main(argv) == 0
+            out.append(f"$ tubevol tube-radius {name} --max-word-length {k}\n")
+            out.append(capsys.readouterr().out)
+    assert "".join(out) == (data_dir / "tube_radius_golden.txt").read_text()
 
 
 class TestPresentationFile:
