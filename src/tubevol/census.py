@@ -349,8 +349,8 @@ def _block_records(block: list[str], names: dict, header_seen: bool, sink=None):
     whether the header has been seen, its names added to ``names`` and the
     block handed to ``sink`` as ``ingest`` says; None,
     and ``names`` unchanged, if a line is not UTF-8, a row has other than 5
-    fields, a number text is not plain ASCII without '_' (so float() reads
-    ``parse_number``'s grammar), or a row fails a check ``ingest`` documents."""
+    fields, the number texts fail ``parse_number``, or a row fails a check
+    ``ingest`` documents."""
     text = "".join(block)
     if not text.isascii():
         try:
@@ -368,10 +368,8 @@ def _block_records(block: list[str], names: dict, header_seen: bool, sink=None):
     fields = ",".join(rows).split(",") if rows else []
     block_names = fields[::5]
     del fields[::5]
-    numbers = ",".join(fields)
-    if not numbers.isascii() or "_" in numbers:
-        return None
     try:  # float() of each text, as the row checker reads it
+        parse_number(",".join(fields), str)
         values = np.array(fields, np.float64)
     except ValueError:
         return None

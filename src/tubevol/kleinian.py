@@ -423,17 +423,14 @@ _KEY_DIGITS = 9
 
 def _word_keys(words: np.ndarray) -> np.ndarray:
     """One key per matrix of an (n, 2, 2) stack of products of
-    determinant-1 letters, as an (n, 8) uint64 array: the entries, signed so
-    that the first entry of largest modulus is positive (real part, then
-    imaginary part), rounded to _KEY_DIGITS.  Equal keys have equal bits."""
-    keys = words.reshape(-1, 4).copy()
-    ref = keys[np.arange(len(keys)), np.argmax(np.abs(keys), axis=1)]
-    flip = (ref.real < 0) | ((ref.real == 0) & (ref.imag < 0))
-    np.negative(keys, out=keys, where=flip[:, None])
-    flat = keys.view(np.float64)
-    np.round(flat, _KEY_DIGITS, out=flat)
-    flat += 0.0  # turns -0.0 into 0.0
-    return flat.view(np.uint64)
+    determinant-1 letters, as an (n, 8) uint64 array: the 8 real parts of
+    the entries rounded to _KEY_DIGITS, negated if the first nonzero one is
+    negative, so that M and -M share a key.  Equal keys have equal bits."""
+    keys = np.round(words.reshape(-1, 4).view(np.float64), _KEY_DIGITS)
+    first = keys[np.arange(len(keys)), np.argmax(keys != 0, axis=1)]
+    np.negative(keys, out=keys, where=(first < 0)[:, None])
+    keys += 0.0  # turns -0.0 into 0.0
+    return keys.view(np.uint64)
 
 
 # odd multiplier of the key hash (the 64-bit golden ratio)
@@ -453,15 +450,6 @@ def _key_hashes(keys: np.ndarray) -> np.ndarray:
     return hashes
 
 
-def _equal_rows(keys: np.ndarray, i, other: np.ndarray, j) -> np.ndarray:
-    """Whether keys[i] equals other[j], row by row, compared one column at
-    a time."""
-    equal = np.ones(len(i), dtype=bool)
-    for column, other_column in zip(keys.T, other.T):
-        equal &= column[i] == other_column[j]
-    return equal
-
-
 def _new_rows(keys, hashes, earlier_keys, earlier_hashes) -> np.ndarray:
     """The lowest row of each distinct key of ``keys`` that is not among
     ``earlier_keys``, ordered by hash; ``earlier_hashes`` are sorted.
@@ -469,8 +457,8 @@ def _new_rows(keys, hashes, earlier_keys, earlier_hashes) -> np.ndarray:
     The rows are sorted stably by hash, so the first row of each hash is the
     lowest row of its key, which is then looked up at one place among the
     earlier hashes.  Every row of a repeated hash and every match is compared
-    in full; if two different keys share a hash, the level is decided by the
-    64 bytes of the keys instead."""
+    in full, each key as one 64-byte value; if two different keys share a
+    hash, the level is decided by sorting those values instead."""
     order = np.argsort(hashes, kind="stable")
     repeat = np.flatnonzero(hashes[order[1:]] == hashes[order[:-1]]) + 1
     rows = np.delete(order, repeat)
@@ -478,13 +466,13 @@ def _new_rows(keys, hashes, earlier_keys, earlier_hashes) -> np.ndarray:
     at = np.searchsorted(earlier_hashes, h)
     found = np.flatnonzero(at < len(earlier_hashes))
     found = found[earlier_hashes[at[found]] == h[found]]
-    if (
-        _equal_rows(keys, order[repeat], keys, order[repeat - 1]).all()
-        and _equal_rows(keys, rows[found], earlier_keys, at[found]).all()
-    ):
+    keys, earlier_keys = (k.view(np.dtype((np.void, 64))).ravel() for k in (keys, earlier_keys))
+    if (keys[order[repeat]] == keys[order[repeat - 1]]).all() and (
+        keys[rows[found]] == earlier_keys[at[found]]
+    ).all():
         return np.delete(rows, found)
-    every = np.concatenate([earlier_keys, keys]).view(np.dtype((np.void, 64)))
-    rows = np.unique(every.ravel(), return_index=True)[1] - len(earlier_keys)
+    every = np.concatenate([earlier_keys, keys])
+    rows = np.unique(every, return_index=True)[1] - len(earlier_keys)
     rows = rows[rows >= 0]
     return rows[np.argsort(hashes[rows], kind="stable")]
 
@@ -614,7 +602,8 @@ def read_presentation(path) -> GroupPresentation:
     """Read a presentation from ``errors.read_lines``: one to 26 generators,
     one per line as eight decimals (re/im of a, b, c, d), then a line
     ``core: <word>`` spelled with their letters; a second ``core:`` line
-    is an error."""
+    and a generator that is not an invertible finite matrix are errors that
+    name their line."""
     generators = []
     core_word = None
     for lineno, line in read_lines(path):
@@ -632,9 +621,9 @@ def read_presentation(path) -> GroupPresentation:
             raise ParseError(f"{path}: line {lineno}: more than 26 generators")
         try:
             v = [parse_number(p) for p in parts]
+            generators.append(MobiusTransform(*map(complex, v[0::2], v[1::2])))
         except ValueError as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-        generators.append(MobiusTransform(*map(complex, v[0::2], v[1::2])))
     if core_word is None:
         raise ParseError(f"{path}: missing 'core: <word>' line")
     if not generators:

@@ -3,8 +3,9 @@
 ``line_distance_oracle`` finds the distance between two geodesics by brute
 force over points on both.  ``tube_radius_upper_bound`` is the word search
 as it was when it found repeated matrices with a Python set of ``bytes``
-keys, one key at a time, kept verbatim so that the array search can be
-checked against it bit for bit.
+keys, one key at a time, with the key rule of ``kleinian._word_keys``
+written out row by row, so that the array search can be checked against it
+bit for bit.
 """
 
 import math
@@ -97,16 +98,15 @@ def line_distance_oracle(
 
 def _word_keys(words: np.ndarray) -> list[bytes]:
     """One key per matrix of an (n, 2, 2) stack of products of
-    determinant-1 letters: the entries, signed so that the first entry of
-    largest modulus is positive (real part, then imaginary part), rounded to
-    _KEY_DIGITS."""
-    flat = words.reshape(-1, 4)
-    ref = flat[np.arange(len(flat)), np.argmax(np.abs(flat), axis=1)]
-    flip = (ref.real < 0) | ((ref.real == 0) & (ref.imag < 0))
-    flat = np.where(flip[:, None], -flat, flat)
-    # adding 0.0 turns -0.0 into 0.0, so equal keys have equal bytes
-    rounded = np.round(flat.view(np.float64), _KEY_DIGITS) + 0.0
-    return rounded.view(np.dtype((np.void, rounded.shape[1] * 8))).ravel().tolist()
+    determinant-1 letters: the 8 real parts of the entries rounded to
+    _KEY_DIGITS, negated if the first nonzero one is negative."""
+    keys = []
+    for row in np.round(words.reshape(-1, 4).view(np.float64), _KEY_DIGITS):
+        if row[np.flatnonzero(row)[0]] < 0:
+            row = -row
+        # adding 0.0 turns -0.0 into 0.0, so equal keys have equal bytes
+        keys.append((row + 0.0).tobytes())
+    return keys
 
 
 @np.errstate(**STRICT_FLOATS)

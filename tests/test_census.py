@@ -377,6 +377,8 @@ class TestFigureSeries:
         reports = evaluate(synthesize(5, seed=1))
         with pytest.raises(DomainError):
             figure_series(reports, r_range=(0.0, 3.0))
+        with pytest.raises(DomainError, match="curve_points"):
+            figure_series(reports, curve_points=1)
 
 
 class TestSynthesize:
@@ -476,6 +478,8 @@ class TestReportCsv:
         path = tmp_path / "dataset.csv"
         write_dataset(Table(names, columns), path)
         assert path.read_bytes() == (data_dir / "dataset_golden.csv").read_bytes()
+        with pytest.raises(ValueError, match="one entry per name"):
+            Table(names[1:], columns)
 
     @pytest.mark.parametrize(
         "filename", ["fig_b_over_vdrill_curves.csv", "fig_dv_over_pil_hist.csv"]
@@ -553,6 +557,33 @@ class TestReportWriter:
         path.write_bytes((data_dir / "sample20.csv").read_bytes())
         assert self.written(path) == self.serial(path)
         assert forks == [os.getpid()]
+
+    @pytest.mark.parametrize("blocks", [True, False])
+    def test_worker_gone_falls_back(self, data_dir, tmp_path, forks, monkeypatch, blocks):
+        # a worker that has died finds its pipe closed to the first block
+        # sent, or to the end notice where ingest sends none; it is reaped
+        # there, later blocks go nowhere, and write takes the serial writer
+        if not hasattr(os, "waitid"):
+            pytest.skip("needs os.waitid")
+        monkeypatch.setattr(census, "_report_worker", mock.Mock(side_effect=RuntimeError))
+        path = tmp_path / "sample20.csv"
+        path.write_bytes((data_dir / "sample20.csv").read_bytes())
+        report = tmp_path / "report.csv"
+        pids = []
+        with census.ReportWriter() as writer, mock.patch.object(errors, "_BLOCK_CHARS", 100):
+            # wait for the worker's exit, but leave it unreaped
+            os.waitid(os.P_PID, writer._pid, os.WEXITED | os.WNOWAIT)
+
+            def sink(names, values):
+                pids.append(writer._pid)
+                writer.sink(names, values)
+
+            writer.write(evaluate(ingest(path, sink=sink if blocks else None)), report)
+        assert len(forks) == 1
+        if blocks:
+            assert len(pids) > 2 and pids[0] is not None
+            assert pids[1:] == [None] * (len(pids) - 1)
+        assert report.read_bytes() == self.serial(path)
 
     def test_worker_stops_at_the_end_of_its_pipe(self, tmp_path):
         # a parent gone without the end notice ends the worker's loop

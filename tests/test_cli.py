@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import select
@@ -620,8 +621,18 @@ class TestTubeRadius:
             ("2 0 0 0 0 0 0.5 0\n\ncore: ab\n", "line 3: core word 'ab'"),
             ("# none\ncore: a\n", "no generator lines"),
             ("2 0 0 0 0 0 0.5 0\n" * 27 + "core: a\n", "line 27: more than 26 generators"),
+            ("1 0 2 0 0.5 0 1 0\ncore: a\n", "line 1: MobiusTransform: matrix is singular"),
+            ("2 0 0 0 0 0 inf 0\ncore: a\n", "line 1: MobiusTransform: entries and determinant"),
         ],
-        ids=["empty-core", "non-letter", "no-generator", "no-generators", "27-generators"],
+        ids=[
+            "empty-core",
+            "non-letter",
+            "no-generator",
+            "no-generators",
+            "27-generators",
+            "singular-generator",
+            "infinite-generator",
+        ],
     )
     def test_malformed_presentation_is_input_error(self, capsys, tmp_path, text, where):
         path = tmp_path / "bad.txt"
@@ -829,6 +840,11 @@ class TestConfig:
         )
         assert code == 1
         assert "mystery" in err
+        config.write_text("# defaults\nbins 3\n")
+        code, _, err = run(
+            capsys, "--config", str(config), "verify", str(data_dir / "sample20.csv")
+        )
+        assert (code, err) == (1, f"error: {config}: line 2: expected key=value\n")
 
 
 def test_import_needs_no_scipy():
@@ -843,6 +859,19 @@ def test_import_needs_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_tests_need_no_scipy():
+    # the test suite's oracles use mpmath, so the test extra has no scipy
+    for path in Path(__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not any(m.split(".")[0] == "scipy" for m in modules), f"{path.name}:{node.lineno}"
 
 
 # 10^15 float64 values are 7 PiB, beyond the address space, so the

@@ -360,6 +360,27 @@ def test_block_pass_matches_row_pass(lines, bom, crlf, bad_byte, block):
         assert table[key].tobytes() == expected.tobytes()
 
 
+def test_both_passes_read_numbers_by_parse_number(tmp_path):
+    # a stricter grammar, one that refuses exponents, is followed by the
+    # block pass as by the row pass: there is one number parser
+    def no_exponents(text, kind=float):
+        if "e" in text:
+            raise ValueError(f"no exponents: {text!r}")
+        return errors.parse_number(text, kind)
+
+    path = tmp_path / "census.csv"
+    path.write_text(f"{HEADER}\nm0,1.0,2.0,0.5,0.7\nm1,1.0,2e0,0.5,0.7\n")
+    with mock.patch.object(census, "parse_number", no_exponents):
+        found = _row_pass(path)
+        assert found == ["line 3: non-numeric field in 'm1,1.0,2e0,0.5,0.7'"]
+        try:
+            census.ingest(path)
+        except errors.IngestError as exc:
+            assert exc.diagnostics == found
+        else:
+            raise AssertionError("ingest read a number its grammar refuses")
+
+
 def test_only_the_shared_reader_opens_input():
     # every open() in the package outside errors.read_lines writes
     for path in SRC_DIR.glob("*.py"):

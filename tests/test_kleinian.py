@@ -489,9 +489,7 @@ def _group_with_repeats(kind: int, seed: int) -> GroupPresentation:
     [[1, 1], [0, 1]] and [[1, 0], [w, 1]] with core ab, for w = 1 (a
     subgroup of PSL(2, Z)) and w = -exp(2 pi i / 3) (the figure-eight knot
     group).  Each generator is moved by a conjugator drawn from ``seed``,
-    the loxodromic by its own one too.  Generic conjugators keep entries in
-    the core's frame off the real and imaginary axes, where rounding noise
-    would pick the sign that ``_word_keys`` gives two equal matrices."""
+    the loxodromic by its own one too."""
     rng = np.random.default_rng(seed)
     c = _random_mobius(rng)
     if kind < 2:
@@ -543,7 +541,8 @@ def assert_same_search(pres: GroupPresentation, k: int):
 
 class TestSearchMatchesReference:
     @pytest.mark.parametrize(
-        "name, k", [("two_gen", 8), ("single_gen", 6), ("figure_eight", 9)]
+        "name, k",
+        [("two_gen", 8), ("single_gen", 6), ("figure_eight", 9), ("picard", 6), ("rot4", 8)],
     )
     def test_fixtures(self, data_dir, name, k):
         pres = read_presentation(data_dir / f"{name}.txt")
@@ -645,13 +644,69 @@ class TestNewRows:
         assert checked_new_rows["within"] == 0 and checked_new_rows["across"] == 8
 
 
+def _sign_equal_pairs(words: np.ndarray, tol: float = 1e-12):
+    """The pairs i < j of an (n, 2, 2) stack whose matrices agree up to sign
+    to within ``tol`` in every entry."""
+    flat = words.reshape(len(words), 4)
+    pairs = []
+    for start in range(0, len(flat), 256):
+        block = flat[start : start + 256, None]
+        near = np.minimum(abs(block - flat).max(axis=2), abs(block + flat).max(axis=2)) < tol
+        pairs += [(i + start, j) for i, j in zip(*np.nonzero(near)) if i + start < j]
+    return pairs
+
+
+# integer matrices of determinant 1 with entries in -2..2
+SMALL_CONJUGATORS = [
+    MobiusTransform(*m)
+    for m in itertools.product(range(-2, 3), repeat=4)
+    if m[0] * m[3] - m[1] * m[2] == 1
+]
+
+
+class TestWordKeys:
+    @pytest.mark.parametrize("core", [(2.0, 0.0, 0.0, 0.5), (2.0, 1.0, 1.0, 1.0)])
+    @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+    def test_rotation_powers_equal_up_to_sign_share_a_key(self, core, order):
+        # a rotation's entries in the core's frame may be real or imaginary,
+        # where a sign read from one entry is rounding noise; the powers a^j
+        # and A^j are built as the search builds them, one letter at a time
+        b = MobiusTransform(*core)
+        to_core = kleinian._to_zero_infinity(axis(b))
+        frame, unframe = kleinian._matrix(to_core), kleinian._matrix(to_core.inverse())
+        pairs = 0
+        for c in SMALL_CONJUGATORS:
+            a = c @ rotation(order) @ c.inverse()
+            words = []
+            for letter in (a, a.inverse()):
+                step = frame @ kleinian._matrix(letter) @ unframe
+                power = step
+                for _ in range(2 * order):
+                    words.append(power)
+                    power = power @ step
+            words = np.stack(words)
+            keys = kleinian._word_keys(words)
+            for i, j in _sign_equal_pairs(words):
+                assert (keys[i] == keys[j]).all(), (c, i, j)
+                pairs += 1
+        assert pairs > 0
+
+    def test_picard_words_are_distinct_up_to_sign(self, data_dir):
+        # the Picard group PSL(2, Z[i]) has elements of orders 2 and 3, so
+        # many of its words are one matrix up to sign
+        pres = read_presentation(data_dir / "picard.txt")
+        levels = list(itertools.islice(kleinian._word_levels(pres), 6))
+        assert [len(level.words) for level in levels] == [6, 22, 62, 166, 424, 1056]
+        assert _sign_equal_pairs(np.concatenate([level.words for level in levels])) == []
+
+
 def test_tube_radius_golden(capsys, data_dir):
     # stdout of tube-radius on every fixture at k = 1..10, as first
     # recorded: the radius and the witness word must not change
     from tubevol.cli import main
 
     out = []
-    for name in ("figure_eight.txt", "single_gen.txt", "two_gen.txt"):
+    for name in ("figure_eight.txt", "single_gen.txt", "two_gen.txt", "rot4.txt"):
         for k in range(1, 11):
             argv = ["tube-radius", str(data_dir / name), "--max-word-length", str(k)]
             assert main(argv) == 0

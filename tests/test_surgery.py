@@ -69,6 +69,8 @@ class TestConeProfile:
     def test_minimum_samples(self):
         with pytest.raises(DomainError):
             ConeProfile((0.0,), (1.0,))
+        with pytest.raises(DomainError, match="differ in size"):
+            ConeProfile((0.0, TAU), (1.0,))
 
 
 class TestSchlafli:
