@@ -14,6 +14,7 @@ import functools
 import itertools
 import math
 import os
+import shutil
 import signal
 import struct
 import tempfile
@@ -520,9 +521,8 @@ def write_report_csv(table: Table, path) -> None:
 
 
 # a notice on the worker's pipe: a frame's rows and the offset in the frames
-# file where the frame ends; rows _END ends the work
+# file where the frame ends; the pipe's end ends the work
 _NOTICE = struct.Struct("=qq")
-_END = -1
 
 
 def _worker_helps() -> bool:
@@ -539,37 +539,27 @@ def _worker_helps() -> bool:
 def _report_worker(notices: int, frames: int, out, tol: float) -> None:
     """The worker's loop: read each frame noticed on the pipe ``notices``
     from the file ``frames``, and write the report of its records, header
-    first, to ``out``, evaluated and formatted ``_CSV_CHUNK`` rows at a
-    time; return after the end notice, raise EOFError at the pipe's end
-    without it.  A frame holds its numbers row after row, then its names,
-    joined by newlines (a name holds none), in UTF-8."""
+    first, to ``out``, evaluated and formatted as each notice arrives;
+    return at the pipe's end, where a notice cut short fails to unpack.  A
+    frame holds its numbers row after row, then its names, joined by
+    newlines (a name holds none), in UTF-8."""
     # free a mapped block of 8 MB, as ingest's freed tables are in the
-    # parent: malloc's mmap threshold rises to its size, so each chunk's
+    # parent: malloc's mmap threshold rises to its size, so each frame's
     # temporaries are no longer mapped and unmapped on every use
     np.empty(1 << 20)
     out.write(_csv_header(REPORT_COLUMNS))
-    names, values, start = [], [], 0
+    start = 0
     with os.fdopen(notices, "rb") as pipe:
-        while True:
-            notice = pipe.read(_NOTICE.size)
-            if len(notice) < _NOTICE.size:
-                raise EOFError("the pipe closed before the end notice")
+        while notice := pipe.read(_NOTICE.size):
             rows, end = _NOTICE.unpack(notice)
-            if rows != _END:
-                frame = os.pread(frames, end - start, start)
-                values.append(np.frombuffer(frame, np.float64, rows * len(INPUT_COLUMNS)))
-                names += frame[values[-1].nbytes :].split(b"\n")
-                start = end
-            ready = len(names) if rows == _END else len(names) - len(names) % _CSV_CHUNK
-            if ready:
-                records = np.concatenate(values).reshape(-1, len(INPUT_COLUMNS))
-                columns = records[:ready].T.copy()
-                chunk = Table(np.array(names[:ready], object), dict(zip(INPUT_COLUMNS, columns)))
-                out.writelines(_csv_rows(_report_columns(evaluate(chunk, tol))))
-                names, values = names[ready:], [records[ready:].ravel()]
-            if rows == _END:
-                out.flush()
-                return
+            frame = os.pread(frames, end - start, start)
+            records = np.frombuffer(frame, np.float64, rows * len(INPUT_COLUMNS))
+            names = np.array(frame[records.nbytes :].split(b"\n"), object)
+            columns = records.reshape(-1, len(INPUT_COLUMNS)).T.copy()
+            table = Table(names, dict(zip(INPUT_COLUMNS, columns)))
+            out.writelines(_csv_rows(_report_columns(evaluate(table, tol))))
+            start = end
+    out.flush()
 
 
 class ReportWriter:
@@ -577,13 +567,13 @@ class ReportWriter:
 
     Where ``_worker_helps``, a forked worker evaluates and formats the
     report rows of each block that ``ingest`` hands to ``sink``, while
-    ingest reads on, into an unlinked temporary file; ``write`` then
-    copies its bytes to the report.  Otherwise, or if the worker fails,
-    ``sink`` is None or does nothing and ``write`` is ``write_report_csv``.
-    Either way the report is opened by ``write`` alone, and the bytes are
-    the same.  Blocks travel as frames appended to a second unlinked file,
-    each announced on a pipe (``_NOTICE``).  ``close``, or the end of a
-    ``with`` block, stops and reaps the worker on every path.
+    ingest reads on, into an unlinked temporary file; ``write`` closes its
+    pipe, which ends its work, and copies its bytes to the report.
+    Otherwise, or if the worker fails, ``sink`` is None or does nothing and
+    ``write`` is ``write_report_csv``.  Either way the report is opened by
+    ``write`` alone, and the bytes are the same.  Blocks travel as frames
+    appended to a second unlinked file, each announced on the pipe
+    (``_NOTICE``).  ``close`` kills and reaps the worker on every other path.
     """
 
     def __init__(self, tol: float = 0.0):
@@ -596,7 +586,9 @@ class ReportWriter:
                 self.close()
 
     def _start(self, tol: float) -> None:
-        self._frames, self._out = self._files = [tempfile.TemporaryFile() for _ in range(2)]
+        for _ in range(2):  # each kept at once, for close to close
+            self._files.append(tempfile.TemporaryFile())
+        self._frames, self._out = self._files
         notices, self._notices = os.pipe()
         try:
             self._pid = os.fork()
@@ -653,21 +645,12 @@ class ReportWriter:
     def write(self, table: Table, path) -> None:
         """Write the report of ``table``, the evaluated records that
         ``ingest`` handed to ``sink``, to ``path``."""
-        done = False
-        if self._pid is not None:
-            try:
-                os.write(self._notices, _NOTICE.pack(_END, 0))
-            except OSError:  # the worker is gone, and reaped below
-                pass
-            done = self._reap(stop=False)
-        if not done:
+        if self._pid is None or not self._reap(stop=False):
             write_report_csv(table, path)
             return
+        self._out.seek(0)
         with open(path, "wb") as handle:
-            offset = 0
-            while text := os.pread(self._out.fileno(), 1 << 16, offset):
-                handle.write(text)
-                offset += len(text)
+            shutil.copyfileobj(self._out, handle)
 
     def close(self) -> None:
         if self._pid is not None:
@@ -809,8 +792,9 @@ def synthesize(n: int, seed: int, noise_sigma: float = 0.017) -> Table:
     Lengths are uniform over [0.3, 2.5], radii over [0.4, 1.6] and filled
     volumes over [0.94, 6], rejecting geometry where the embedded tube
     could not fit (tube volume exceeding the filled volume).  The volume
-    increase is pi*L*(1/2 + eps) with eps a 3-sigma-clipped normal; any
-    candidate violating the sharp drilled-volume bound is resampled, so the
+    increase is pi*L*(1/2 + eps) with eps a normal clipped at 3 noise_sigma,
+    below 1/2; any candidate that rounds to v_drill <= v_fill, which ingest
+    rejects, or violates the sharp drilled-volume bound is resampled, so the
     output always verifies cleanly (violations are rare once the tube fits:
     for noise_sigma <= 0.02 virtually every draw passes).
     """
@@ -818,8 +802,8 @@ def synthesize(n: int, seed: int, noise_sigma: float = 0.017) -> Table:
         raise DomainError("synthesize: n must be >= 1")
     if seed < 0:
         raise DomainError("synthesize: seed must be >= 0")
-    if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
-        raise DomainError("synthesize: noise_sigma must be >= 0")
+    if not 0.0 <= noise_sigma < 1.0 / 6.0:
+        raise DomainError("synthesize: noise_sigma must be >= 0 and below 1/6")
 
     rng = np.random.default_rng(seed)
     batches = []
@@ -837,7 +821,7 @@ def synthesize(n: int, seed: int, noise_sigma: float = 0.017) -> Table:
             eps = np.zeros(m)
         fits = np.pi * length * np.sinh(radius) ** 2 <= v_fill
         v_drill = v_fill + np.pi * length * (0.5 + eps)
-        accepted = fits & _within_sharp_bound(v_fill, v_drill, length, radius)
+        accepted = fits & (v_drill > v_fill) & _within_sharp_bound(v_fill, v_drill, length, radius)
         keep = np.flatnonzero(accepted)[: n - count]
         batches.append(np.stack([v_fill[keep], v_drill[keep], length[keep], radius[keep]]))
         count += keep.size

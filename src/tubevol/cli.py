@@ -393,8 +393,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (DomainError, OverflowError, FloatingPointError) as exc:
-        # inputs whose results overflow binary64 are outside the domain too
-        print(f"domain error: {exc}", file=sys.stderr)
+        # inputs whose results overflow binary64 are outside the domain too;
+        # math's OverflowError carries (errno, message), printed as the message
+        print("domain error:", *exc.args[-1:], file=sys.stderr)
         return 2
     except MemoryError as exc:
         # a count whose arrays the machine cannot hold is outside the domain

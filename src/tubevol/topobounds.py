@@ -61,7 +61,7 @@ def miyamoto_lower_bound(chi: int) -> float:
     geodesic boundary of Euler characteristic chi <= 0."""
     if chi > 0:
         raise DomainError("miyamoto_lower_bound: chi must be <= 0")
-    return -V8 * chi
+    return V8 * -chi  # not -V8 * chi, which is -0.0 at chi = 0
 
 
 def guts_bound_tiers(g: GutsData) -> tuple[float | None, float]:

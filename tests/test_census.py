@@ -1,5 +1,7 @@
 import math
 import os
+import pathlib
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -416,6 +418,14 @@ class TestSynthesize:
         stats = statistics(evaluate(synthesize(4000, seed=42)))
         assert stats.mean_ratio == pytest.approx(0.5, abs=3.0 * 0.017 / math.sqrt(4000))
 
+    def test_widest_noise_reingests(self, tmp_path):
+        # eps clipped at -3 sigma, just above -1/2, leaves pi L (1/2 + eps)
+        # below an ulp of v_fill, so v_drill can round to v_fill, which
+        # ingest rejects
+        records = synthesize(5000, seed=1, noise_sigma=math.nextafter(1.0 / 6.0, 0.0))
+        write_dataset(records, tmp_path / "wide.csv")
+        assert tables_equal(ingest(tmp_path / "wide.csv"), records)
+
     def test_full_size_mean_within_lln_bound(self):
         n = 25_709
         records = synthesize(n, seed=20240404)
@@ -430,8 +440,9 @@ class TestSynthesize:
     def test_validation(self):
         with pytest.raises(DomainError):
             synthesize(0, seed=1)
-        with pytest.raises(DomainError):
-            synthesize(5, seed=1, noise_sigma=-0.1)
+        for sigma in (-0.1, 1.0 / 6.0, 0.2, 1e308, math.inf, math.nan):
+            with pytest.raises(DomainError, match="noise_sigma"):
+                synthesize(5, seed=1, noise_sigma=sigma)
         with pytest.raises(DomainError):
             synthesize(10, seed=-1)
 
@@ -495,7 +506,7 @@ class TestReportCsv:
         # no radius reaches the zoom's 0.6, so its CSV is the header alone
         figs = figure_series(evaluate(table(("m1", 1.0, 2.0, 0.5, 0.3))))
         (path,) = census.write_figure_csv(figs["fig_overshoot_zoom"], tmp_path)
-        assert open(path, "rb").read() == b"name,x,y,overshoot_old\n"
+        assert pathlib.Path(path).read_bytes() == b"name,x,y,overshoot_old\n"
 
 
 # names with NUL bytes, non-ASCII text, more than the 15 bytes StringDType
@@ -561,8 +572,8 @@ class TestReportWriter:
     @pytest.mark.parametrize("blocks", [True, False])
     def test_worker_gone_falls_back(self, data_dir, tmp_path, forks, monkeypatch, blocks):
         # a worker that has died finds its pipe closed to the first block
-        # sent, or to the end notice where ingest sends none; it is reaped
-        # there, later blocks go nowhere, and write takes the serial writer
+        # sent; it is reaped there, later blocks go nowhere, and write takes
+        # the serial writer; where ingest sends none, write reaps it
         if not hasattr(os, "waitid"):
             pytest.skip("needs os.waitid")
         monkeypatch.setattr(census, "_report_worker", mock.Mock(side_effect=RuntimeError))
@@ -586,9 +597,51 @@ class TestReportWriter:
         assert report.read_bytes() == self.serial(path)
 
     def test_worker_stops_at_the_end_of_its_pipe(self, tmp_path):
-        # a parent gone without the end notice ends the worker's loop
-        read_end, write_end = os.pipe()
-        os.close(write_end)
-        with open(tmp_path / "frames", "wb+") as frames, open(tmp_path / "out", "wb") as out:
-            with pytest.raises(EOFError):
-                census._report_worker(read_end, frames.fileno(), out, 0.0)
+        # the pipe's end after any whole notice ends the work, and the
+        # report holds the header and the rows of the frames noticed
+        records = synthesize(7, seed=3)
+        for frames, rows in [(0, 0), (2, 5)]:
+            read_end, write_end = os.pipe()
+            with open(tmp_path / "frames", "wb+") as file, open(tmp_path / "out", "wb") as out:
+                for part in [slice(0, 3), slice(3, 5), slice(5, None)][:frames]:
+                    values = np.stack([records[key][part] for key in INPUT_COLUMNS], axis=1)
+                    file.write(values.tobytes() + "\n".join(records.names[part].tolist()).encode())
+                    file.flush()
+                    os.write(write_end, census._NOTICE.pack(len(values), file.tell()))
+                os.close(write_end)
+                assert census._report_worker(read_end, file.fileno(), out, 0.0) is None
+            write_report_csv(evaluate(take(records, slice(rows))), tmp_path / "serial")
+            assert (tmp_path / "out").read_bytes() == (tmp_path / "serial").read_bytes()
+
+    def test_notice_cut_short_falls_back(self, data_dir, tmp_path, forks):
+        # the worker fails on half a notice, and write takes the serial writer
+        path = tmp_path / "sample20.csv"
+        path.write_bytes((data_dir / "sample20.csv").read_bytes())
+        report = tmp_path / "report.csv"
+        counted = mock.patch.object(census, "write_report_csv", wraps=census.write_report_csv)
+        with census.ReportWriter() as writer, counted as write_report:
+            reports = evaluate(ingest(path, sink=writer.sink))
+            os.write(writer._notices, census._NOTICE.pack(1, 0)[:8])
+            writer.write(reports, report)
+        assert len(forks) == 1 and write_report.call_count == 1
+        assert report.read_bytes() == self.serial(path)
+
+    def test_second_temporary_file_refused(self, data_dir, tmp_path, forks, monkeypatch):
+        # the first temporary file is closed at once, and no worker forked
+        opened, temporary_file = [], tempfile.TemporaryFile
+
+        def second_refused():
+            if opened:
+                raise OSError(28, "No space left on device")
+            opened.append(temporary_file())
+            return opened[-1]
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", second_refused)
+        path = tmp_path / "sample20.csv"
+        path.write_bytes((data_dir / "sample20.csv").read_bytes())
+        report = tmp_path / "report.csv"
+        with census.ReportWriter() as writer:
+            assert writer.sink is None and opened[0].closed
+            writer.write(evaluate(ingest(path, sink=writer.sink)), report)
+        assert forks == []
+        assert report.read_bytes() == self.serial(path)

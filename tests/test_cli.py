@@ -52,7 +52,8 @@ class TestEstimate:
     def test_overflowing_radius_is_domain_error(self, capsys):
         code, _, err = run(capsys, "estimate", "2.0", "1.0", "400")
         assert code == 2
-        assert "domain error" in err
+        # one readable line, not the (errno, message) args of the error
+        assert err == "domain error: Numerical result out of range\n"
 
     def test_negative_volume_is_domain_error(self, capsys):
         code, _, _ = run(capsys, "estimate", "-2.0", "1.0", "0.5")
@@ -706,6 +707,15 @@ class TestSynthesize:
         code, _, _ = run(capsys, "synthesize", "0", "1", str(tmp_path / "x.csv"))
         assert code == 2
 
+    @pytest.mark.parametrize("sigma", [repr(1.0 / 6.0), "0.2"])
+    def test_noise_beyond_one_sixth(self, capsys, tmp_path, sigma):
+        # eps down to -3 sigma would leave v_drill <= v_fill
+        out = tmp_path / "x.csv"
+        code, _, err = run(capsys, "synthesize", "10", "1", str(out), "--noise-sigma", sigma)
+        assert code == 2
+        assert err == "domain error: synthesize: noise_sigma must be >= 0 and below 1/6\n"
+        assert not out.exists()
+
     def test_negative_seed(self, capsys, tmp_path):
         code, _, err = run(capsys, "synthesize", "10", "-1", str(tmp_path / "x.csv"))
         assert code == 2
@@ -719,6 +729,19 @@ class TestBounds:
         import tubevol.hypkernel as hk
 
         assert table_value(out, "miyamoto_lower_bound") == f"{hk.V8:.12g}"
+
+    @pytest.mark.parametrize(
+        "norm, lines",
+        [
+            ([], ["miyamoto_lower_bound  0"]),
+            (
+                ["--gromov-norm", "0"],
+                ["guts_norm_tier    0", "guts_chi_tier     0", "guts_lower_bound  0"],
+            ),
+        ],
+    )
+    def test_chi_zero_prints_no_negative_zero(self, capsys, norm, lines):
+        assert run(capsys, "bounds", "--chi", "0", *norm) == (0, "\n".join(lines) + "\n", "")
 
     def test_guts_tiers(self, capsys):
         code, out, _ = run(capsys, "bounds", "--chi", "-1", "--gromov-norm", "8")
