@@ -271,9 +271,7 @@ def _cmd_bounds(args) -> int:
         rows.append(("haken_double_bound", topobounds.haken_double_bound(args.double_norm)))
     if args.min_scan is not None:
         v_cusped, radius, l_max = args.min_scan
-        rows.append(
-            ("min_volume_scan", topobounds.min_volume_scan(v_cusped, radius, l_max, args.steps))
-        )
+        rows.append(("min_volume_scan", topobounds.min_volume_scan(v_cusped, radius, l_max)))
     if not rows:
         print("error: supply at least one invariant (see --help)", file=sys.stderr)
         return 1
@@ -355,9 +353,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
         type=_FLOAT,
         nargs=3,
         metavar=("V_CUSPED", "RADIUS", "L_MAX"),
-        help="scan the filled-volume bound over lengths up to L_MAX",
+        help="the filled-volume bound at L_MAX, its minimum over lengths up to "
+        "L_MAX: a bound on vol M only if L_MAX bounds the drilled geodesic's length",
     )
-    bnd.add_argument("--steps", type=_INT, default=1000)
     bnd.set_defaults(handler=_cmd_bounds)
     return parser, [est, ver, fig, tr, sur, syn, bnd]
 

@@ -60,8 +60,13 @@ def numbered_lines(path, raw_lines, start: int = 1):
 
 
 def read_lines(path):
-    """``numbered_lines`` over every line of ``read_blocks(path)``."""
-    return numbered_lines(path, itertools.chain.from_iterable(read_blocks(path)))
+    """``numbered_lines`` over every line of ``read_blocks(path)``; the file
+    is closed before an error leaves, not when the traceback is freed."""
+    blocks = read_blocks(path)
+    try:
+        yield from numbered_lines(path, itertools.chain.from_iterable(blocks))
+    finally:
+        blocks.close()
 
 
 def parse_number(text: str, kind=float):

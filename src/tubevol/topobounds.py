@@ -10,10 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
-from .hypkernel import TubeData, V3, V8, STRICT_FLOATS, drilling_terms
+from .hypkernel import TubeData, V3, V8, filled_volume_lower_bound
 
 __all__ = [
     "AlternatingDiagram",
@@ -98,27 +96,13 @@ def haken_double_bound(double_gromov_norm: float) -> float:
     return 0.5 * V3 * double_gromov_norm
 
 
-@np.errstate(**STRICT_FLOATS)
-def min_volume_scan(
-    v_cusped_min: float, radius: float, l_max: float, steps: int
-) -> float:
-    """Scan the filled-volume lower bound over geodesic lengths in
-    (0, l_max].
-
-    Returns min over a uniform grid of ``steps`` lengths of
-    filled_volume_lower_bound(v_cusped_min, (L, radius)).  This equals a
-    true lower bound for the closed manifold's volume only when ``l_max``
-    genuinely bounds the length of the drilled geodesic; the caller owns
-    that hypothesis.
-    """
+def min_volume_scan(v_cusped_min: float, radius: float, l_max: float) -> float:
+    """The filled-volume lower bound v_cusped_min / C_P(R) - pi L sinh(R)^2
+    sech(2R) at L = l_max, where it is least over L in (0, l_max].  It bounds
+    the closed manifold's volume only when ``l_max`` bounds the length of the
+    drilled geodesic; the caller owns that hypothesis."""
     if not (math.isfinite(v_cusped_min) and v_cusped_min > 0.0):
         raise DomainError("min_volume_scan: v_cusped_min must be positive")
     if not (math.isfinite(l_max) and l_max > 0.0):
         raise DomainError("min_volume_scan: l_max must be positive")
-    if steps < 1:
-        raise DomainError("min_volume_scan: steps must be >= 1")
-    TubeData(l_max, radius)  # checks the radius
-    lengths = l_max * np.arange(1, steps + 1) / steps
-    # filled_volume_lower_bound(v_cusped_min, TubeData(L, radius)) at every L
-    correction, _, c_p = drilling_terms(0.0, lengths, radius)
-    return float(np.min(v_cusped_min / c_p - correction))
+    return filled_volume_lower_bound(v_cusped_min, TubeData(l_max, radius))

@@ -11,11 +11,15 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 from unittest import mock
 
+import mpmath
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import tubevol
 from tubevol import census, errors
-from tubevol.cli import main
+from tubevol.cli import _fmt, main
+from tubevol.hypkernel import TubeData, filled_volume_lower_bound
 
 HALF_LN3 = 0.5 * math.log(3.0)
 
@@ -761,10 +765,45 @@ class TestBounds:
     def test_min_scan(self, capsys):
         code, out, _ = run(
             capsys, "bounds", "--min-scan", "2.0298832128193074",
-            repr(HALF_LN3), "0.58775953104788788", "--steps", "50",
+            repr(HALF_LN3), "0.58775953104788788",
         )
         assert code == 0
         assert float(table_value(out, "min_volume_scan")) == pytest.approx(0.67, abs=1e-9)
+
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        v=st.floats(0.01, 100.0),
+        radius=st.floats(0.01, 8.0),
+        l_max=st.floats(1e-6, 100.0),
+    )
+    def test_min_scan_is_the_filled_volume_bound(self, capsys, v, radius, l_max):
+        bound = filled_volume_lower_bound(v, TubeData(l_max, radius))
+        code, out, err = run(capsys, "bounds", "--min-scan", repr(v), repr(radius), repr(l_max))
+        assert (code, out, err) == (0, f"min_volume_scan  {_fmt(bound)}\n", "")
+        # v / coth(2R)^3 - pi L sinh(R)^2 sech(2R), to 1e-12 of the larger term
+        with mpmath.workdps(50):
+            r = mpmath.mpf(radius)
+            filled = mpmath.mpf(v) * mpmath.tanh(2 * r) ** 3
+            tube = mpmath.pi * mpmath.mpf(l_max) * mpmath.sinh(r) ** 2 / mpmath.cosh(2 * r)
+            assert abs(bound - (filled - tube)) <= 1e-12 * max(filled, tube)
+
+    def test_min_scan_at_a_huge_length(self, capsys):
+        # a finite bound prints however large L_MAX is: nothing scales it up
+        assert run(capsys, "bounds", "--min-scan", "2", "0.5", "1e306") == (
+            0,
+            "min_volume_scan  -5.5283505416e+305\n",
+            "",
+        )
+
+    def test_steps_is_not_a_bounds_option(self, capsys):
+        # --min-scan evaluates the bound once, so it takes no grid size
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--min-scan", "2", "0.5", "1", "--steps", "10"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "unrecognized arguments: --steps 10" in err
 
     def test_no_invariants(self, capsys):
         code, _, err = run(capsys, "bounds")
@@ -902,12 +941,11 @@ def test_tests_need_no_scipy():
 @pytest.mark.parametrize(
     "argv",
     [
-        ["bounds", "--min-scan", "2", "0.5", "1", "--steps", "1000000000000000"],
         ["figures", "SAMPLE", "OUT", "--curve-points", "1000000000000000"],
         ["figures", "SAMPLE", "OUT", "--bins", "1000000000000000"],
         ["synthesize", "1000000000000000", "1", "OUT"],
     ],
-    ids=["steps", "curve-points", "bins", "synthesize"],
+    ids=["curve-points", "bins", "synthesize"],
 )
 def test_count_beyond_memory_is_domain_error(capsys, tmp_path, data_dir, argv):
     out = tmp_path / "out"

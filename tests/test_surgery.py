@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tubevol import errors
 from tubevol.errors import DomainError, ParseError
 from tubevol.surgery import (
     ConeProfile,
@@ -217,6 +218,23 @@ class TestProfileIO:
         path.write_text("theta,length\n0,0.5,9\n6.283185307179586,0.9\n")
         with pytest.raises(ParseError, match="line 2"):
             read_profile(path)
+
+    def test_undecodable_file_closed_before_its_error_leaves(self, tmp_path, monkeypatch):
+        # an error kept with its traceback must not keep the reader suspended
+        # with its file open
+        path = tmp_path / "profile.csv"
+        path.write_bytes(b"theta,length\n0,0.5\xff\n6.283185307179586,0.9\n")
+        handles = []
+
+        def recording_open(*args, **kwargs):
+            handles.append(open(*args, **kwargs))
+            return handles[-1]
+
+        monkeypatch.setattr(errors, "open", recording_open, raising=False)
+        with pytest.raises(ParseError, match="line 2: not UTF-8 text") as kept:
+            read_profile(path)
+        assert kept.value.__traceback__ is not None
+        assert len(handles) == 1 and handles[0].closed
 
     def test_bad_domain_reported_as_parse_error(self, tmp_path):
         path = tmp_path / "profile.csv"

@@ -102,19 +102,18 @@ class TestHakenDouble:
 
 class TestMinVolumeScan:
     def test_short_length_limit(self):
-        v = min_volume_scan(2.0 * V3, HALF_LN3, 1e-9, 10)
+        v = min_volume_scan(2.0 * V3, HALF_LN3, 1e-9)
         assert v == pytest.approx(1.0393002049634853, rel=1e-8)
 
     def test_matches_endpoint_value(self):
-        # the bound decreases in L, so the scan bottoms out at l_max
         l_max = 0.58775953104788788
-        v = min_volume_scan(2.0 * V3, HALF_LN3, l_max, 10_000)
+        v = min_volume_scan(2.0 * V3, HALF_LN3, l_max)
         direct = filled_volume_lower_bound(2.0 * V3, TubeData(l_max, HALF_LN3))
         assert v == direct
         assert v == pytest.approx(0.67, abs=1e-9)
 
     @pytest.mark.parametrize(
-        "v, radius, l_max, steps",
+        "v, radius, l_max, samples",
         [
             (2.0 * V3, HALF_LN3, 0.58775953104788788, 1000),
             (0.9813688288922, 0.05, 3.7, 257),
@@ -122,23 +121,23 @@ class TestMinVolumeScan:
             (1.0, 0.8, 12.0, 999),
         ],
     )
-    def test_equals_per_length_minimum(self, v, radius, l_max, steps):
-        per_length = [
-            filled_volume_lower_bound(v, TubeData(l_max * i / steps, radius))
-            for i in range(1, steps + 1)
-        ]
-        assert min_volume_scan(v, radius, l_max, steps) == min(per_length)
+    def test_equals_per_length_minimum(self, v, radius, l_max, samples):
+        # the bound decreases in L, so its least value over a grid of
+        # lengths up to l_max is the one at l_max, bit for bit
+        lengths = [l_max * i / samples for i in range(1, samples)] + [l_max]
+        per_length = [filled_volume_lower_bound(v, TubeData(L, radius)) for L in lengths]
+        scan = min_volume_scan(v, radius, l_max)
+        assert scan == filled_volume_lower_bound(v, TubeData(l_max, radius))
+        assert scan == min(per_length)
 
     def test_monotone_in_l_max(self):
-        values = [min_volume_scan(2.0 * V3, HALF_LN3, lm, 100) for lm in (0.2, 0.5, 1.0)]
+        values = [min_volume_scan(2.0 * V3, HALF_LN3, lm) for lm in (0.2, 0.5, 1.0)]
         assert values[0] > values[1] > values[2]
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            min_volume_scan(0.0, 1.0, 1.0, 10)
+            min_volume_scan(0.0, 1.0, 1.0)
         with pytest.raises(DomainError):
-            min_volume_scan(1.0, 1.0, 0.0, 10)
+            min_volume_scan(1.0, 1.0, 0.0)
         with pytest.raises(DomainError):
-            min_volume_scan(1.0, 1.0, 1.0, 0)
-        with pytest.raises(DomainError):
-            min_volume_scan(1.0, 0.0, 1.0, 10)
+            min_volume_scan(1.0, 0.0, 1.0)
