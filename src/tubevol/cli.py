@@ -3,7 +3,8 @@
 Subcommands: estimate (closed-form bounds for one (v_fill, L, R) triple),
 verify (run a dataset through the bound checks), figures (emit the figure
 series as CSV and SVG), tube-radius (word search over a group presentation),
-surgery (cone-profile volume predictors), synthesize (generate a dataset).
+surgery (cone-profile volume predictors), synthesize (generate a dataset),
+bounds (volume bounds from topological invariants).
 
 Exit codes: 0 success, 1 input error, 2 domain error (also a count that
 needs more memory than the machine has), 3 verification failure, 141 (the
@@ -38,47 +39,31 @@ def _fmt(x: float) -> str:
 # messages ("invalid float value")
 _FLOAT, _INT = (functools.partial(parse_number, kind=kind) for kind in (float, int))
 _FLOAT.__name__, _INT.__name__ = "float", "int"
-_FACTORS = ("perelman", "old", "both")
-
-
-def _factor(text: str) -> str:
-    if text not in _FACTORS:
-        raise ValueError(f"{text!r} is not one of {', '.join(_FACTORS)}")
-    return text
 
 
 # ---------------------------------------------------------------------------
 # Config file
 
 
-_CONFIG_TYPES = {
-    "factor": _factor,
-    "bins": _INT,
-    "max_word_length": _INT,
-    "noise_sigma": _FLOAT,
-    "r_min": _FLOAT,
-    "r_max": _FLOAT,
-    "curve_points": _INT,
-    "radius": _FLOAT,
-    "report": str,
-    "tol": _FLOAT,
-}
-
-
-def _config_values(path: str) -> dict:
-    values = {}
+def _apply_config(path: str, options: dict[str, argparse.Action]) -> None:
+    """Make each ``key=value`` line of ``path`` the default of the flag in
+    ``options`` whose dest is the key, read by the flag's type and checked
+    against its choices; a flag given on the command line still wins."""
     for lineno, line in read_lines(path):
         if "=" not in line:
             raise ParseError(f"{path}: line {lineno}: expected key=value")
         key, _, raw = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _CONFIG_TYPES:
+        if key not in options:
             raise ParseError(f"{path}: unknown config key {key!r}")
+        action = options[key]
         try:
-            values[key] = _CONFIG_TYPES[key](raw.strip())
+            value = (action.type or str)(raw.strip())
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"{value!r} is not one of {', '.join(action.choices)}")
         except ValueError as exc:
             raise ParseError(f"{path}: bad value for {key!r}: {exc}") from exc
-    return values
+        action.default = value
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +93,14 @@ def _cmd_estimate(args) -> int:
         print(",".join(name for name, _ in rows))
         print(",".join(_fmt(value) for _, value in rows))
     else:
-        width = max(len(name) for name, _ in rows)
-        for name, value in rows:
-            print(f"{name:<{width}}  {_fmt(value)}")
+        _print_table(rows)
     return 0
+
+
+def _print_table(rows) -> None:
+    width = max(len(name) for name, _ in rows)
+    for name, value in rows:
+        print(f"{name:<{width}}  {_fmt(value)}")
 
 
 def _print_summary(stats: census.DatasetStats) -> None:
@@ -273,11 +262,8 @@ def _cmd_bounds(args) -> int:
         v_cusped, radius, l_max = args.min_scan
         rows.append(("min_volume_scan", topobounds.min_volume_scan(v_cusped, radius, l_max)))
     if not rows:
-        print("error: supply at least one invariant (see --help)", file=sys.stderr)
-        return 1
-    width = max(len(name) for name, _ in rows)
-    for name, value in rows:
-        print(f"{name:<{width}}  {_fmt(value)}")
+        raise ParseError("supply at least one invariant (see --help)")
+    _print_table(rows)
     return 0
 
 
@@ -285,7 +271,8 @@ def _cmd_bounds(args) -> int:
 # Parser
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Action]]:
+    """The parser, and the flags a config file may set, keyed by dest."""
     parser = argparse.ArgumentParser(
         prog="tubevol",
         description="Volume bounds for drilling and filling geodesics in "
@@ -293,19 +280,25 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     )
     parser.add_argument("--config", help="key=value file supplying defaults")
     sub = parser.add_subparsers(dest="command", required=True)
+    options = {}
+
+    def option(subparser, flag, **kwargs):
+        action = subparser.add_argument(flag, **kwargs)
+        options[action.dest] = action
 
     est = sub.add_parser("estimate", help="closed-form bounds for one record")
     est.add_argument("v_fill", type=_FLOAT)
     est.add_argument("length", type=_FLOAT)
     est.add_argument("radius", type=_FLOAT)
-    est.add_argument("--factor", choices=_FACTORS, default="both")
+    option(est, "--factor", choices=("perelman", "old", "both"), default="both")
     est.add_argument("--csv", action="store_true", help="machine-readable output")
     est.set_defaults(handler=_cmd_estimate)
 
     ver = sub.add_parser("verify", help="validate a dataset against every bound")
     ver.add_argument("dataset")
-    ver.add_argument("--report", help="report CSV path (default: <dataset>.report.csv)")
-    ver.add_argument(
+    option(ver, "--report", help="report CSV path (default: <dataset>.report.csv)")
+    option(
+        ver,
         "--tol",
         type=_FLOAT,
         default=0.0,
@@ -316,27 +309,27 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
     fig = sub.add_parser("figures", help="emit figure series CSVs and SVGs")
     fig.add_argument("dataset")
     fig.add_argument("out_dir")
-    fig.add_argument("--bins", type=_INT, default=40)
-    fig.add_argument("--r-min", type=_FLOAT, default=0.05)
-    fig.add_argument("--r-max", type=_FLOAT, default=3.0)
-    fig.add_argument("--curve-points", type=_INT, default=512)
+    option(fig, "--bins", type=_INT, default=40)
+    option(fig, "--r-min", type=_FLOAT, default=0.05)
+    option(fig, "--r-max", type=_FLOAT, default=3.0)
+    option(fig, "--curve-points", type=_INT, default=512)
     fig.set_defaults(handler=_cmd_figures)
 
     tr = sub.add_parser("tube-radius", help="search a presentation for close lifts")
     tr.add_argument("presentation")
-    tr.add_argument("--max-word-length", type=_INT, default=3)
+    option(tr, "--max-word-length", type=_INT, default=3)
     tr.set_defaults(handler=_cmd_tube_radius)
 
     sur = sub.add_parser("surgery", help="cone-profile volume predictors")
     sur.add_argument("profile")
-    sur.add_argument("--radius", type=_FLOAT, help="tube radius for the regime check")
+    option(sur, "--radius", type=_FLOAT, help="tube radius for the regime check")
     sur.set_defaults(handler=_cmd_surgery)
 
     syn = sub.add_parser("synthesize", help="generate a synthetic dataset")
     syn.add_argument("count", type=_INT)
     syn.add_argument("seed", type=_INT)
     syn.add_argument("out")
-    syn.add_argument("--noise-sigma", type=_FLOAT, default=0.017)
+    option(syn, "--noise-sigma", type=_FLOAT, default=0.017)
     syn.set_defaults(handler=_cmd_synthesize)
 
     bnd = sub.add_parser("bounds", help="volume bounds from topological invariants")
@@ -357,12 +350,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentPars
         "L_MAX: a bound on vol M only if L_MAX bounds the drilled geodesic's length",
     )
     bnd.set_defaults(handler=_cmd_bounds)
-    return parser, [est, ver, fig, tr, sur, syn, bnd]
+    return parser, options
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, subparsers = _build_parser()
+    parser, options = _build_parser()
     # --config is read first, wherever it stands, so that its values can
     # become the defaults of the full parse
     pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
@@ -370,11 +363,7 @@ def main(argv=None) -> int:
     known, rest = pre.parse_known_args(argv)
     try:
         if known.config is not None:
-            values = _config_values(known.config)
-            # replace the matching defaults everywhere; explicit flags
-            # still win over defaults
-            for p in [parser, *subparsers]:
-                p.set_defaults(**values)
+            _apply_config(known.config, options)
         args = parser.parse_args(rest)
         code = args.handler(args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit

@@ -26,8 +26,6 @@ _MARGIN_B = 48
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    if hi <= lo:
-        return [lo]
     raw = (hi - lo) / target
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
@@ -44,6 +42,7 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
 
 
 def _bounds(values: np.ndarray, pad=0.05):
+    """Padded axis limits of ``values``; lo < hi always, as _nice_ticks needs."""
     if not values.size:  # a figure with nothing to plot still gets its axes
         return 0.0, 1.0
     lo, hi = float(values.min()), float(values.max())

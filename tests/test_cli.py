@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import tubevol
 from tubevol import census, errors
-from tubevol.cli import _fmt, main
+from tubevol.cli import _build_parser, _fmt, main
 from tubevol.hypkernel import TubeData, filled_volume_lower_bound
 
 HALF_LN3 = 0.5 * math.log(3.0)
@@ -618,6 +618,17 @@ class TestTubeRadius:
         code, _, _ = run(capsys, "tube-radius", str(path))
         assert code == 1
 
+    def test_overflowing_word_search_is_domain_error(self, capsys, tmp_path):
+        # a^3 has entries of 1e360, so words such as baaa overflow binary64
+        path = tmp_path / "huge.txt"
+        path.write_text("1e120 0 0 0 0 0 1e-120 0\n2 0 1 0 1 0 1 0\ncore: a\n")
+        code, out, err = run(capsys, "tube-radius", str(path), "--max-word-length", "2")
+        assert (code, err) == (0, "")
+        assert table_value(out, "witness") == "b"
+        code, out, err = run(capsys, "tube-radius", str(path), "--max-word-length", "4")
+        assert (code, out) == (2, "")
+        assert err == "domain error: overflow encountered in matmul\n"
+
     @pytest.mark.parametrize(
         "text, where",
         [
@@ -819,6 +830,76 @@ class TestBounds:
     def test_domain_error(self, capsys):
         code, _, _ = run(capsys, "bounds", "--chi", "2")
         assert code == 2
+
+
+# each config key (README's list) with a command line that reads it and a
+# value other than its flag's default, then a value its flag rejects (None:
+# every text is a path)
+CONFIG_KEYS = {
+    "factor": (["estimate", "3", "1", "0.5"], "old", "bogus"),
+    "report": (["verify", "SAMPLE"], "OUT/r.csv", None),
+    "tol": (["verify", "OVER", "--report", "OUT/r.csv"], "0.5", "abc"),
+    "bins": (["figures", "SAMPLE", "OUT"], "7", "1.5"),
+    "r_min": (["figures", "SAMPLE", "OUT"], "0.2", "x"),
+    "r_max": (["figures", "SAMPLE", "OUT"], "2", "2_0"),
+    "curve_points": (["figures", "SAMPLE", "OUT"], "64", "many"),
+    "max_word_length": (["tube-radius", "TWO_GEN"], "1", "3.0"),
+    "radius": (["surgery", "PROFILE"], "0.7", "wide"),
+    "noise_sigma": (["synthesize", "5", "1", "OUT/s.csv"], "0.05", ""),
+}
+
+
+def test_config_keys_are_the_settable_flags():
+    _, options = _build_parser()
+    assert sorted(options) == sorted(CONFIG_KEYS)
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    assert all(f"`{key}`" in readme for key in CONFIG_KEYS)
+
+
+@pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
+def test_config_value_acts_as_its_flag(capsys, tmp_path, data_dir, key):
+    argv, value, bad = CONFIG_KEYS[key]
+    out_dir = tmp_path / "out"
+    # verify with no --report writes beside its dataset
+    sample = tmp_path / "sample20.csv"
+    shutil.copy(data_dir / "sample20.csv", sample)
+    # v_drill is 14% above V_est_perelman: a violation only without slack
+    over = tmp_path / "over.csv"
+    over.write_text("name,v_fill,v_drill,length,radius\nm,4.35,12,1.786,0.5569\n")
+    places = {
+        "SAMPLE": sample,
+        "OVER": over,
+        "TWO_GEN": data_dir / "two_gen.txt",
+        "PROFILE": data_dir / "profile_ramp.csv",
+    }
+    argv = [str(places[a]) if a in places else a.replace("OUT", str(out_dir)) for a in argv]
+    value = value.replace("OUT", str(out_dir))
+    config = tmp_path / "run.conf"
+
+    def outcome(*args):
+        shutil.rmtree(out_dir, ignore_errors=True)
+        out_dir.mkdir()
+        code, out, _ = run(capsys, *args)
+        files = {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+        return code, out, files
+
+    flag = "--" + key.replace("_", "-")
+    config.write_text(f"{key} = {value}\n")
+    by_flag = outcome(*argv, flag, value)
+    assert by_flag == outcome("--config", str(config), *argv)
+    assert by_flag != outcome(*argv)
+    if bad is None:
+        return
+    action = _build_parser()[1][key]
+    try:
+        (action.type or str)(bad)
+        reason = f"{bad!r} is not one of {', '.join(action.choices)}"
+    except ValueError as exc:
+        reason = str(exc)
+    config.write_text(f"{key} = {bad}\n")
+    code, out, err = run(capsys, "--config", str(config), *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {config}: bad value for {key!r}: {reason}\n"
 
 
 class TestConfig:

@@ -376,6 +376,10 @@ class TestDrilledVolumeBound:
         v = drilled_volume_bound(2.0, TubeData(1.0, 14.0), Factor.PERELMAN)
         assert v == pytest.approx(2.0 + math.pi / 2.0, abs=1e-9)
 
+    def test_factor_is_a_factor_not_its_name(self):
+        with pytest.raises(DomainError, match="unknown factor"):
+            drilled_volume_bound(2.0, TubeData(1.0, 0.8), "perelman")
+
 
 class TestOvershootRatio:
     def test_exact_estimate_is_zero(self):

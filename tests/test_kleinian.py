@@ -161,6 +161,19 @@ class TestComplexLength:
         with pytest.raises(NonLoxodromicError):
             complex_length(MobiusTransform(1.0, 1.0, 0.0, 1.0))
 
+    def test_negated_trace(self):
+        # -M is M in PSL(2,C): trace -3i takes the other eigenvalue, whose
+        # rotation lands on -pi and is mapped to pi; trace -3 also takes it
+        def with_trace(t):
+            return complex_length(MobiusTransform(t, 1.0, -1.0, 0.0))
+
+        assert with_trace(-3j) == with_trace(3j)
+        assert with_trace(-3j).real == pytest.approx(2.389526434574219, rel=1e-15)
+        assert with_trace(-3j).imag == math.pi
+        assert with_trace(-3.0) == with_trace(3.0)
+        assert with_trace(-3.0).real == pytest.approx(1.9248473002384139, rel=1e-15)
+        assert with_trace(-3.0).imag == 0.0
+
 
 class TestAxis:
     def test_diagonal(self):
@@ -276,6 +289,12 @@ class TestLineDistance:
         assert cd.d == 0.0
         assert not cd.same_line
 
+    def test_shared_endpoint_at_zero(self):
+        # asymptotic at the other end than test_asymptotic; phi is a convention
+        cd = line_distance(GeodesicLine(0j, INFINITY), GeodesicLine(0j, 1.0))
+        assert cd.d == 0.0
+        assert not cd.same_line
+
     def test_same_line_flag(self):
         cd = line_distance(GeodesicLine(0j, INFINITY), GeodesicLine(INFINITY, 0j))
         assert cd.same_line
@@ -377,6 +396,13 @@ class TestTubeRadius:
         g = MobiusTransform(2.0, 0.0, 0.0, 0.5)
         h = translation_matrix(LN2)
         return GroupPresentation((g, h), "a")
+
+    def test_presentation_limits(self):
+        g = MobiusTransform(2.0, 0.0, 0.0, 0.5)
+        with pytest.raises(DomainError, match="at most 26 generators"):
+            GroupPresentation((g,) * 27, "a")
+        with pytest.raises(DomainError, match="core_word must be nonempty"):
+            GroupPresentation((g,), "")
 
     def test_two_generator_fixture(self):
         result = tube_radius_upper_bound(self.fixture_presentation(), 1)

@@ -73,6 +73,10 @@ class TestConeProfile:
         with pytest.raises(DomainError, match="differ in size"):
             ConeProfile((0.0, TAU), (1.0,))
 
+    def test_sampled_needs_two_samples(self):
+        with pytest.raises(DomainError, match="count must be >= 2"):
+            ConeProfile.sampled(lambda a: 1.0, 1)
+
 
 class TestSchlafli:
     def test_constant_profile(self):

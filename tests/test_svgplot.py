@@ -1,7 +1,12 @@
+import sys
+
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from tubevol.census import evaluate, figure_series, ingest, synthesize
-from tubevol.svgplot import render_figure
+from tubevol.svgplot import _bounds, render_figure
 
 FIGURE_NAMES = (
     "fig_ratio_curve",
@@ -58,3 +63,15 @@ def test_svg_bytes_pinned(data_dir, name):
     figs = figure_series(evaluate(ingest(data_dir / "sample20.csv")))
     golden = (data_dir / f"{name}_golden.svg").read_bytes()
     assert render_figure(figs[name]).encode("utf-8") == golden
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20))
+@example([])
+@example([1.5, 1.5, 1.5])
+@example([-1e300, 1e300])
+@example([sys.float_info.max])
+@example([-sys.float_info.max, sys.float_info.max])
+def test_axis_bounds_are_ordered(values):
+    # the tick placement relies on lo < hi; an overflow gives -inf or inf
+    lo, hi = _bounds(np.array(values, dtype=np.float64))
+    assert lo < hi
