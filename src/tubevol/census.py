@@ -101,7 +101,6 @@ _FLAG_FOR_KEY = {
     "bridgeman": "bridgeman_ok",
     "b_le_vdrill": "b_le_vdrill",
 }
-VIOLATION_KEYS = tuple(_FLAG_FOR_KEY)
 
 
 @dataclass(frozen=True)
@@ -499,7 +498,7 @@ def statistics(table: Table) -> DatasetStats:
         mean_ratio=float(np.mean(ratios)),
         std_ratio=float(np.std(ratios, ddof=1)) if len(table) > 1 else 0.0,
         violations={
-            key: int(np.count_nonzero(~table[_FLAG_FOR_KEY[key]])) for key in VIOLATION_KEYS
+            key: int(np.count_nonzero(~table[flag])) for key, flag in _FLAG_FOR_KEY.items()
         },
         length_range=(float(table["length"].min()), float(table["length"].max())),
         radius_range=(float(table["radius"].min()), float(table["radius"].max())),

@@ -9,9 +9,9 @@ bounds (volume bounds from topological invariants).
 Exit codes: 0 success, 1 input error, 2 domain error (also a count that
 needs more memory than the machine has), 3 verification failure, 141 (the
 shell's status for SIGPIPE, with nothing printed) when stdout is closed
-early, as by ``| head``.  Numeric
-output is printed with 12 significant digits.  A config file of key=value
-lines may supply defaults; flags override it.
+early, as by ``| head``.  Numeric output is printed with 12 significant
+digits, and a zero as 0, never -0.  A config file of key=value lines may
+supply defaults; flags override it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,12 @@ __all__ = ["main"]
 def _fmt(x: float) -> str:
     if not math.isfinite(x):
         raise OverflowError(f"a result is {x}, not a finite binary64 value")
-    return f"{x:.12g}"
+    return f"{x + 0.0:.12g}"  # + 0.0 turns -0 into 0
+
+
+def _line(label: str, text: str, width: int = 18) -> None:
+    """One labelled line: ``label`` padded to ``width``, a space, then ``text``."""
+    print(f"{label:<{width}} {text}")
 
 
 # the argparse and config types of numbers; argparse names the type in its
@@ -98,25 +103,18 @@ def _cmd_estimate(args) -> int:
 
 
 def _print_table(rows) -> None:
-    width = max(len(name) for name, _ in rows)
+    width = max(len(name) for name, _ in rows) + 1
     for name, value in rows:
-        print(f"{name:<{width}}  {_fmt(value)}")
+        _line(name, _fmt(value), width)
 
 
 def _print_summary(stats: census.DatasetStats) -> None:
-    print(f"records            {stats.count}")
-    print(f"mean dv/(pi L)     {_fmt(stats.mean_ratio)}")
-    print(f"std dv/(pi L)      {_fmt(stats.std_ratio)}")
-    print(
-        "violations         "
-        + " ".join(f"{key}={stats.violations[key]}" for key in census.VIOLATION_KEYS)
-    )
-    print(
-        f"length range       [{_fmt(stats.length_range[0])}, {_fmt(stats.length_range[1])}]"
-    )
-    print(
-        f"radius range       [{_fmt(stats.radius_range[0])}, {_fmt(stats.radius_range[1])}]"
-    )
+    _line("records", str(stats.count))
+    _line("mean dv/(pi L)", _fmt(stats.mean_ratio))
+    _line("std dv/(pi L)", _fmt(stats.std_ratio))
+    _line("violations", " ".join(f"{key}={n}" for key, n in stats.violations.items()))
+    _line("length range", f"[{_fmt(stats.length_range[0])}, {_fmt(stats.length_range[1])}]")
+    _line("radius range", f"[{_fmt(stats.radius_range[0])}, {_fmt(stats.radius_range[1])}]")
     if stats.violations["b_le_vdrill"]:
         print(
             f"warning: B > v_drill on {stats.violations['b_le_vdrill']} record(s); "
@@ -186,14 +184,14 @@ def _cmd_tube_radius(args) -> int:
     presentation = kleinian.read_presentation(args.presentation)
     result = kleinian.tube_radius_upper_bound(presentation, args.max_word_length)
     core_len = kleinian.complex_length(presentation.core())
-    print(f"core word          {presentation.core_word}")
-    print(f"core length        {_fmt(core_len.real)}")
-    print(f"core rotation      {_fmt(core_len.imag)}")
+    _line("core word", presentation.core_word)
+    _line("core length", _fmt(core_len.real))
+    _line("core rotation", _fmt(core_len.imag))
     if result.witness is None:
-        print("tube radius        infinite (no distinct lift found)")
+        _line("tube radius", "infinite (no distinct lift found)")
     else:
-        print(f"tube radius bound  {_fmt(result.radius)}")
-        print(f"witness word       {result.witness}")
+        _line("tube radius bound", _fmt(result.radius))
+        _line("witness word", result.witness)
         if result.radius == 0.0:
             print(
                 f"warning: the image of the core axis under {result.witness} crosses or "
@@ -226,7 +224,7 @@ def _cmd_surgery(args) -> int:
         flag = surgery.hodgson_kerckhoff_regime(final_length, args.radius)
         rows.append(("hk_regime", "true" if flag else "false"))
     for name, value in rows:
-        print(f"{name:<18} {value}")
+        _line(name, value)
     return 0
 
 

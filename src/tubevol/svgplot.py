@@ -23,10 +23,12 @@ _MARGIN_L = 64
 _MARGIN_R = 16
 _MARGIN_T = 20
 _MARGIN_B = 48
+_TICKS = 5  # about this many ticks on an axis
+_PAD = 0.05  # the axis margin around the data, as a share of its span
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    raw = (hi - lo) / target
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    raw = (hi - lo) / _TICKS
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
@@ -41,7 +43,7 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     return ticks
 
 
-def _bounds(values: np.ndarray, pad=0.05):
+def _bounds(values: np.ndarray):
     """Padded axis limits of ``values``; lo < hi always, as _nice_ticks needs."""
     if not values.size:  # a figure with nothing to plot still gets its axes
         return 0.0, 1.0
@@ -52,7 +54,7 @@ def _bounds(values: np.ndarray, pad=0.05):
         lo -= half
         hi += half
     span = hi - lo
-    return lo - pad * span, hi + pad * span
+    return lo - _PAD * span, hi + _PAD * span
 
 
 def _scale(values, lo, hi, offset, size):

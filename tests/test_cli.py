@@ -1,4 +1,5 @@
 import ast
+import inspect
 import math
 import os
 import select
@@ -753,6 +754,11 @@ class TestBounds:
                 ["--gromov-norm", "0"],
                 ["guts_norm_tier    0", "guts_chi_tier     0", "guts_lower_bound  0"],
             ),
+            (
+                ["--gromov-norm", "-0"],
+                ["guts_norm_tier    0", "guts_chi_tier     0", "guts_lower_bound  0"],
+            ),
+            (["--double-norm", "-0"], ["miyamoto_lower_bound  0", "haken_double_bound    0"]),
         ],
     )
     def test_chi_zero_prints_no_negative_zero(self, capsys, norm, lines):
@@ -900,6 +906,47 @@ def test_config_value_acts_as_its_flag(capsys, tmp_path, data_dir, key):
     code, out, err = run(capsys, "--config", str(config), *argv)
     assert (code, out) == (1, "")
     assert err == f"error: {config}: bad value for {key!r}: {reason}\n"
+
+
+def test_flag_defaults_are_the_library_defaults():
+    # each of these defaults is declared as a flag and again as a keyword
+    # default of the library call the command makes
+    _, options = _build_parser()
+
+    def default(function, name):
+        return inspect.signature(function).parameters[name].default
+
+    series = census.figure_series
+    assert options["bins"].default == default(series, "bins")
+    assert options["curve_points"].default == default(series, "curve_points")
+    assert (options["r_min"].default, options["r_max"].default) == default(series, "r_range")
+    assert options["noise_sigma"].default == default(census.synthesize, "noise_sigma")
+    assert options["tol"].default == default(census.evaluate, "tol")
+    assert options["tol"].default == default(census.ReportWriter, "tol")
+
+
+def test_cli_golden(capsys, data_dir, tmp_path, monkeypatch):
+    # stdout of every labelled output (estimate, the verify summary,
+    # surgery, bounds) as first recorded, byte for byte
+    for name in ("sample20.csv", "profile_ramp.csv"):
+        shutil.copy(data_dir / name, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    out = []
+    for argv in (
+        ["estimate", "2.02988", "1.0", "0.5493061443340549"],
+        ["estimate", "--csv", "2.0", "1.0", "0.8"],
+        ["estimate", "--factor", "old", "2", "1", "0.8"],
+        ["verify", "sample20.csv", "--report", "r.csv"],
+        ["surgery", "profile_ramp.csv"],
+        ["surgery", "profile_ramp.csv", "--radius", "0.7"],
+        ["bounds", "--chi", "-1", "--gromov-norm", "8"],
+        ["bounds", "--twist", "6", "--double-norm", "2"],
+        ["bounds", "--min-scan", "2.0298832128", "0.5493061443", "0.5877595310"],
+    ):
+        assert main(argv) == 0
+        out.append(f"$ tubevol {' '.join(argv)}\n")
+        out.append(capsys.readouterr().out)
+    assert "".join(out) == (data_dir / "cli_golden.txt").read_text()
 
 
 class TestConfig:
