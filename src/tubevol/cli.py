@@ -6,6 +6,8 @@ series as CSV and SVG), tube-radius (word search over a group presentation),
 surgery (cone-profile volume predictors), synthesize (generate a dataset),
 bounds (volume bounds from topological invariants).
 
+Each subcommand imports the modules it calls when it runs.
+
 Exit codes: 0 success, 1 input error, 2 domain error (also a count that
 needs more memory than the machine has), 3 verification failure, 141 (the
 shell's status for SIGPIPE, with nothing printed) when stdout is closed
@@ -21,10 +23,14 @@ import functools
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from . import census, hypkernel, kleinian, surgery, svgplot, topobounds
+from . import hypkernel
 from .errors import DomainError, IngestError, ParseError, parse_number, read_lines
 from .hypkernel import TubeData
+
+if TYPE_CHECKING:
+    from . import census
 
 __all__ = ["main"]
 
@@ -123,6 +129,8 @@ def _print_summary(stats: census.DatasetStats) -> None:
 
 
 def _evaluate_dataset(path: str, tol: float = 0.0, sink=None) -> census.Table:
+    from . import census
+
     records = census.ingest(path, sink=sink)
     if not len(records):
         raise IngestError(["dataset contains no records"])
@@ -130,6 +138,8 @@ def _evaluate_dataset(path: str, tol: float = 0.0, sink=None) -> census.Table:
 
 
 def _cmd_verify(args) -> int:
+    from . import census
+
     if args.report == "":
         raise ParseError("the report path is empty; name a report file")
     # a worker process may format the report while ingest reads; the report
@@ -160,6 +170,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_figures(args) -> int:
+    from . import census, svgplot
+
     reports = _evaluate_dataset(args.dataset)
     series = census.figure_series(
         reports,
@@ -181,6 +193,8 @@ def _cmd_figures(args) -> int:
 
 
 def _cmd_tube_radius(args) -> int:
+    from . import kleinian
+
     presentation = kleinian.read_presentation(args.presentation)
     result = kleinian.tube_radius_upper_bound(presentation, args.max_word_length)
     core_len = kleinian.complex_length(presentation.core())
@@ -203,6 +217,8 @@ def _cmd_tube_radius(args) -> int:
 
 
 def _cmd_surgery(args) -> int:
+    from . import surgery
+
     profile = surgery.read_profile(args.profile)
     result = surgery.bridgeman_check(profile)
     try:
@@ -229,6 +245,8 @@ def _cmd_surgery(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
+    from . import census
+
     records = census.synthesize(args.count, args.seed, noise_sigma=args.noise_sigma)
     census.write_dataset(records, args.out)
     print(f"wrote {len(records)} records to {args.out}")
@@ -236,6 +254,8 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from . import topobounds
+
     if args.gromov_norm is not None and args.chi is None:
         raise ParseError("--gromov-norm needs --chi: the guts bound takes both")
     rows = []

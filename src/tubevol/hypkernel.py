@@ -193,10 +193,18 @@ STRICT_FLOATS = dict(over="raise", divide="raise", invalid="raise")
 
 @np.errstate(**STRICT_FLOATS)
 def drilling_factors(radius) -> tuple[np.ndarray, np.ndarray]:
-    """C_O = (coth R coth 2R)^(3/2) and C_P = coth(2R)^3 over an array of R."""
+    """C_O = (coth R coth 2R)^(3/2) and C_P = coth(2R)^3 over an array of R.
+    A factor that overflows binary64 is a DomainError naming it and the
+    first radius where it does."""
     radius = np.ascontiguousarray(radius, dtype=np.float64)
-    tanh_2r = np.tanh(2.0 * radius)
-    return (1.0 / (np.tanh(radius) * tanh_2r)) ** 1.5, (1.0 / tanh_2r) ** 3
+    tanh_r, tanh_2r = np.tanh(radius), np.tanh(2.0 * radius)
+    with np.errstate(over="ignore", divide="ignore"):
+        factors = (1.0 / (tanh_r * tanh_2r)) ** 1.5, (1.0 / tanh_2r) ** 3
+    for name, factor in zip(("C_O", "C_P"), factors):
+        if np.isinf(factor).any():
+            r = float(radius[np.argmax(np.isinf(factor))])
+            raise DomainError(f"{name} overflows binary64 at radius {r!r}")
+    return factors
 
 
 @np.errstate(**STRICT_FLOATS)

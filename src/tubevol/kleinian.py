@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import enum
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -450,54 +449,97 @@ def _key_hashes(keys: np.ndarray) -> np.ndarray:
     return hashes
 
 
-def _new_rows(keys, hashes, earlier_keys, earlier_hashes) -> np.ndarray:
-    """The lowest row of each distinct key of ``keys`` that is not among
-    ``earlier_keys``, ordered by hash; ``earlier_hashes`` are sorted.
+def _key_rows(keys: np.ndarray) -> np.ndarray:
+    """An (n, 8) uint64 array of keys as n 64-byte values."""
+    return keys.view(np.dtype((np.void, 64))).ravel()
+
+
+def _new_rows(keys, hashes, *earlier) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The lowest row of each distinct key of ``keys`` that no earlier set
+    holds, ordered by hash, and where their hashes go among each set's
+    hashes (as by ``np.searchsorted``).  Each earlier set is a pair: its
+    hashes, sorted, and a function giving its keys at an index array or a
+    slice of them.
 
     The rows are sorted stably by hash, so the first row of each hash is the
-    lowest row of its key, which is then looked up at one place among the
-    earlier hashes.  Every row of a repeated hash and every match is compared
+    lowest row of its key, which is then looked up at one place among each
+    set's hashes.  Every row of a repeated hash and every match is compared
     in full, each key as one 64-byte value; if two different keys share a
-    hash, the level is decided by sorting those values instead."""
+    hash, the rows are decided by sorting those values instead."""
     order = np.argsort(hashes, kind="stable")
     repeat = np.flatnonzero(hashes[order[1:]] == hashes[order[:-1]]) + 1
     rows = np.delete(order, repeat)
     h = hashes[rows]
-    at = np.searchsorted(earlier_hashes, h)
-    found = np.flatnonzero(at < len(earlier_hashes))
-    found = found[earlier_hashes[at[found]] == h[found]]
-    keys, earlier_keys = (k.view(np.dtype((np.void, 64))).ravel() for k in (keys, earlier_keys))
-    if (keys[order[repeat]] == keys[order[repeat - 1]]).all() and (
-        keys[rows[found]] == earlier_keys[at[found]]
-    ).all():
-        return np.delete(rows, found)
-    every = np.concatenate([earlier_keys, keys])
-    rows = np.unique(every, return_index=True)[1] - len(earlier_keys)
+    keys = _key_rows(keys)
+    exact = (keys[order[repeat]] == keys[order[repeat - 1]]).all()
+    new = np.ones(len(rows), dtype=bool)
+    places = []
+    for earlier_hashes, keys_at in earlier:
+        at = np.searchsorted(earlier_hashes, h)
+        match = np.flatnonzero(at < len(earlier_hashes))
+        match = match[earlier_hashes[at[match]] == h[match]]
+        if exact and len(match):
+            exact = (keys[rows[match]] == _key_rows(keys_at(at[match]))).all()
+        new[match] = False
+        places.append(at)
+    if exact:
+        return rows[new], [at[new] for at in places]
+    every = np.concatenate([_key_rows(keys_at(slice(None))) for _, keys_at in earlier] + [keys])
+    rows = np.unique(every, return_index=True)[1] - (len(every) - len(keys))
     rows = rows[rows >= 0]
-    return rows[np.argsort(hashes[rows], kind="stable")]
+    rows = rows[np.argsort(hashes[rows], kind="stable")]
+    return rows, [np.searchsorted(earlier_hashes, hashes[rows]) for earlier_hashes, _ in earlier]
 
 
 class WordLevel(NamedTuple):
-    """The new words of one length, in breadth-first order: their matrices
-    in the frame where the core's axis is (0, INFINITY), their spellings as
-    indices into ``_letters(len(generators))``, and whether each ends with
-    the core word or its inverse."""
+    """New words of one length, a chunk of them in breadth-first order:
+    their matrices in the frame where the core's axis is (0, INFINITY),
+    their spellings as indices into ``_letters(len(generators))``, and
+    whether each ends with the core word or its inverse."""
 
     words: np.ndarray
     spelling: np.ndarray
     at_core: np.ndarray
 
 
-def _word_levels(g: GroupPresentation):
-    """Yield the WordLevel of each word length 1, 2, ... in turn, and stop
-    at the first length with no new word.
+# each word length is built from at most _CHUNKS chunks of its frontier,
+# each of at least _CHUNK_WORDS candidate words (but the last)
+_CHUNKS = 64
+_CHUNK_WORDS = 2048
+
+
+def _joined(columns, at, *rows):
+    """``columns``, arrays of one length, with ``rows`` inserted before their
+    rows ``at``, which are sorted; rows inserted at one place keep their
+    order, as with ``np.insert``, which costs more per call and runs once
+    per chunk here."""
+    at = at + np.arange(len(at))
+    kept = np.ones(len(columns[0]) + len(at), dtype=bool)
+    kept[at] = False
+    joined = []
+    for old, new in zip(columns, rows):
+        column = np.empty((len(kept), *old.shape[1:]), dtype=old.dtype)
+        column[at] = new
+        column[kept] = old
+        joined.append(column)
+    return tuple(joined)
+
+
+def _word_levels(g: GroupPresentation, max_length: int):
+    """Yield the new words of each word length 1, ..., max_length in turn,
+    as WordLevels of a chunk of the length's candidates each, and stop at
+    the first length with no new word.
 
     A word is new when it is reduced, does not begin with the core word or
     its inverse, and its matrix (by ``_word_keys``) is not that of an
     earlier word.  Words are in breadth-first order: shorter first, then by
     parent, then by letter; so the first word of each matrix is the one
-    kept, and only new words are extended.  The keys of a level join those
-    of earlier levels, sorted by hash, when the next level is asked for.
+    kept, and only new words are extended.  A chunk's words are looked up
+    among the keys of shorter words, and among the earlier chunks of their
+    length by hash and place (frontier row and letter), recomputing a key
+    from its place where a hash matches; so no key of the length being
+    built is kept.  Its words' keys join those of shorter words once it is
+    done, unless it is the last length.
     """
     letters = _letters(len(g.generators))
     to_core = _to_zero_infinity(axis(g.core()))
@@ -511,42 +553,66 @@ def _word_levels(g: GroupPresentation):
     core = np.array([letters.index(letter) for letter in g.core_word])
     cores = np.stack([core, inverse_letter[core[::-1]]])  # the core word and its inverse
 
-    # the keys of the new words of earlier levels, sorted by hash
-    earlier_keys = np.empty((0, 8), dtype=np.uint64)
-    earlier_hashes = np.empty(0, dtype=np.uint64)
+    # the hashes of the new words of shorter lengths, sorted, and their keys
+    known = np.empty(0, dtype=np.uint64), np.empty((0, 8), dtype=np.uint64)
     frontier = np.eye(2, dtype=complex)[None]
     # the letters of each frontier word after len(core) places of -1, so
     # that its last letter and its last len(core) letters are columns
     spelling = np.full((1, len(core)), -1, dtype=np.int8)
-    for level in itertools.count():
-        parent = np.repeat(np.arange(len(frontier)), len(letters))
-        letter = np.tile(np.arange(len(letters), dtype=np.int8), len(frontier))
-        reduced = inverse_letter[letter] != spelling[parent, -1]
-        parent, letter = parent[reduced], letter[reduced]
-        rows = np.column_stack([spelling[parent], letter])
-        at_core = (rows[:, None, -len(core) :] == cores).all(axis=2).any(axis=1)
-        if level + 1 == len(core):  # words as long as the core end with it iff they begin with it
-            parent, letter, rows, at_core = (x[~at_core] for x in (parent, letter, rows, at_core))
-        words = frontier[parent] @ letter_matrices[letter]
-        del parent, letter
-        if not np.isfinite(words).all():
-            raise DomainError("tube_radius_upper_bound: word entries overflow")
-        keys = _word_keys(words)
-        hashes = _key_hashes(keys)
-        new = _new_rows(keys, hashes, earlier_keys, earlier_hashes)
-        fresh = np.zeros(len(words), dtype=bool)
-        fresh[new] = True
-        frontier, spelling = words[fresh], rows[fresh]
-        del words, rows
-        if not len(frontier):  # longer words extend new ones only, so none is left
+
+    def place_keys(places):
+        parent, letter = np.divmod(places, len(letters))
+        return _word_keys(frontier[parent] @ letter_matrices[letter])
+
+    for length in range(1, max_length + 1):
+        # the hashes of this length's new words so far, sorted, and the place
+        # of each: its frontier row times len(letters) plus its letter
+        level = np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
+        next_words, next_spelling = [], []
+        step = max(-(-len(frontier) // _CHUNKS), -(-_CHUNK_WORDS // (len(letters) - 1)))
+        for start in range(0, len(frontier), step):
+            parent = np.arange(start, min(start + step, len(frontier))).repeat(len(letters))
+            letter = np.tile(np.arange(len(letters), dtype=np.int8), len(parent) // len(letters))
+            reduced = inverse_letter[letter] != spelling[parent, -1]
+            parent, letter = parent[reduced], letter[reduced]
+            rows = np.column_stack([spelling[parent], letter])
+            at_core = (rows[:, None, -len(core) :] == cores).all(axis=2).any(axis=1)
+            if length == len(core):  # words as long as the core end with it iff they begin with it
+                kept = ~at_core
+                parent, letter, rows, at_core = (x[kept] for x in (parent, letter, rows, at_core))
+            words = frontier[parent] @ letter_matrices[letter]
+            if not np.isfinite(words).all():
+                raise DomainError("tube_radius_upper_bound: word entries overflow")
+            keys = _word_keys(words)
+            hashes = _key_hashes(keys)
+            new, (_, at) = _new_rows(
+                keys,
+                hashes,
+                (known[0], known[1].__getitem__),
+                (level[0], lambda at: place_keys(level[1][at])),
+            )
+            if not len(new):
+                continue
+            level = _joined(level, at, hashes[new], parent[new] * len(letters) + letter[new])
+            fresh = np.zeros(len(words), dtype=bool)
+            fresh[new] = True
+            chunk = WordLevel(words[fresh], rows[fresh, len(core) :], at_core[fresh])
+            if length < max_length:
+                next_words.append(chunk.words)
+                next_spelling.append(rows[fresh])
+            del parent, letter, rows, at_core, words, keys, hashes, new, fresh
+            yield chunk
+        if length == max_length or not len(level[0]):  # longer words extend new ones only
             return
-        yield WordLevel(frontier, spelling[:, len(core) :], at_core[fresh])
-        # rows inserted at one place keep their order, and the new rows
-        # come ordered by hash, so the earlier hashes stay sorted
-        at = np.searchsorted(earlier_hashes, hashes[new])
-        earlier_keys = np.insert(earlier_keys, at, keys[new], axis=0)
-        earlier_hashes = np.insert(earlier_hashes, at, hashes[new])
-        del keys, hashes
+        del level, frontier, spelling
+        frontier, spelling = np.concatenate(next_words), np.concatenate(next_spelling)
+        del next_words, next_spelling
+        keys = _word_keys(frontier)
+        hashes = _key_hashes(keys)
+        order = np.argsort(hashes)
+        keys, hashes = keys[order], hashes[order]
+        known = _joined(known, np.searchsorted(known[0], hashes), hashes, keys)
+        del keys, hashes, order
 
 
 class TubeRadiusResult(NamedTuple):
@@ -571,15 +637,15 @@ def tube_radius_upper_bound(
     matrices are searched once.  Returns radius = inf with witness None when
     no distinct lift shows up within the search.
 
-    The search takes the levels of ``_word_levels`` one word length at a
-    time, and the first word at the minimal distance in breadth-first order
-    is the witness.
+    The search measures the words of ``_word_levels`` a chunk at a time, in
+    breadth-first order, and the first word at the minimal distance is the
+    witness.
     """
     if max_word_length < 1:
         raise DomainError("tube_radius_upper_bound: max_word_length must be >= 1")
     letters = _letters(len(g.generators))
     best_d, witness = math.inf, None
-    for words, spelling, at_core in itertools.islice(_word_levels(g), max_word_length):
+    for words, spelling, at_core in _word_levels(g, max_word_length):
         # a word whose off-diagonal or diagonal entries vanish fixes the axis
         mag = np.abs(words).reshape(-1, 4)
         tol = _FIXES_AXIS_TOL * mag.max(axis=1)

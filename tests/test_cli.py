@@ -60,6 +60,19 @@ class TestEstimate:
         # one readable line, not the (errno, message) args of the error
         assert err == "domain error: Numerical result out of range\n"
 
+    @pytest.mark.parametrize(
+        "radius, error",
+        [
+            # tanh R tanh 2R underflows to 0, so C_O divides by zero
+            ("1e-300", "domain error: C_O overflows binary64 at radius 1e-300\n"),
+            # coth R coth 2R is finite, its power 3/2 is not
+            ("1e-150", "domain error: C_O overflows binary64 at radius 1e-150\n"),
+        ],
+    )
+    def test_tiny_radius_names_the_factor(self, capsys, radius, error):
+        code, out, err = run(capsys, "estimate", "2", "1", radius)
+        assert (code, out, err) == (2, "", error)
+
     def test_negative_volume_is_domain_error(self, capsys):
         code, _, _ = run(capsys, "estimate", "-2.0", "1.0", "0.5")
         assert code == 2
@@ -134,6 +147,15 @@ class TestVerify:
         assert code == 2
         assert "domain error" in err
         assert "violations" not in out
+
+    def test_tiny_radius_names_the_factor(self, capsys, tmp_path):
+        dataset = tmp_path / "tiny_radius.csv"
+        dataset.write_text("name,v_fill,v_drill,length,radius\ntiny,2.0,2.5,0.5,1e-300\n")
+        report = tmp_path / "tiny_radius.report.csv"
+        code, out, err = run(capsys, "verify", str(dataset), "--report", str(report))
+        assert (code, out) == (2, "")
+        assert err == "domain error: C_O overflows binary64 at radius 1e-300\n"
+        assert not report.exists()
 
     def test_tol_flag_relaxes_verdict(self, capsys, tmp_path, data_dir):
         import tubevol.hypkernel as hk

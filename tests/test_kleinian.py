@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -597,8 +598,9 @@ def _generic_group(seed: int) -> GroupPresentation:
 
 
 def _search_groups(data_dir):
+    fixtures = ("figure_eight", "picard", "rot4")
     return {
-        "figure_eight": read_presentation(data_dir / "figure_eight.txt"),
+        **{name: read_presentation(data_dir / f"{name}.txt") for name in fixtures},
         "generic_1": _generic_group(1),
         "generic_2": _generic_group(2),
     }
@@ -606,68 +608,124 @@ def _search_groups(data_dir):
 
 @pytest.fixture
 def checked_new_rows(monkeypatch):
-    """``_new_rows`` wrapped to check, at every level, that the earlier
-    hashes are sorted and that the new rows come ordered by hash, so that
-    inserting them keeps the earlier hashes sorted.  Returns how many levels
-    had two new keys of one hash, and how many had a new key whose hash an
-    earlier key has."""
-    counts = {"within": 0, "across": 0}
+    """``_new_rows`` wrapped to check, at every chunk, that the hashes of
+    shorter words and of the length's earlier chunks are sorted, that the
+    new rows come ordered by hash, and that the places it gives for them are
+    those of ``np.searchsorted``, so that inserting them keeps each set's
+    hashes sorted.  Returns how many chunks had two new keys of one hash,
+    how many had a new key whose hash a shorter word has, and how many had a
+    word whose hash an earlier chunk of its length has."""
+    counts = {"within": 0, "across": 0, "chunks": 0}
     real = kleinian._new_rows
 
-    def new_rows(keys, hashes, earlier_keys, earlier_hashes):
-        assert (earlier_hashes[1:] >= earlier_hashes[:-1]).all()
-        new = real(keys, hashes, earlier_keys, earlier_hashes)
+    def new_rows(keys, hashes, shorter, length):
+        for earlier_hashes, _ in (shorter, length):
+            assert (earlier_hashes[1:] >= earlier_hashes[:-1]).all()
+        new, places = real(keys, hashes, shorter, length)
         h = hashes[new]
         assert (h[1:] >= h[:-1]).all()
+        for (earlier_hashes, _), at in zip((shorter, length), places):
+            assert (at == np.searchsorted(earlier_hashes, h)).all()
         counts["within"] += bool((h[1:] == h[:-1]).any())
-        counts["across"] += bool(np.isin(h, earlier_hashes).any())
-        return new
+        counts["across"] += bool(np.isin(h, shorter[0]).any())
+        counts["chunks"] += bool(np.isin(hashes, length[0]).any())
+        return new, places
 
     monkeypatch.setattr(kleinian, "_new_rows", new_rows)
     return counts
 
 
+def _small_chunks(monkeypatch, words: int = 3):
+    """Build each word length from chunks of about ``words`` candidates,
+    however many chunks that takes."""
+    monkeypatch.setattr(kleinian, "_CHUNKS", 10**9)
+    monkeypatch.setattr(kleinian, "_CHUNK_WORDS", words)
+
+
+def _whole_lengths(monkeypatch):
+    """Build each word length as one chunk."""
+    monkeypatch.setattr(kleinian, "_CHUNK_WORDS", 10**9)
+
+
+def _joined_levels(pres: GroupPresentation, k: int) -> list[kleinian.WordLevel]:
+    """The words of lengths 1..k of the search, each length's chunks joined."""
+    chunks = itertools.groupby(kleinian._word_levels(pres, k), lambda c: c.spelling.shape[1])
+    return [kleinian.WordLevel(*map(np.concatenate, zip(*level))) for _, level in chunks]
+
+
 def _levels(pres: GroupPresentation, k: int) -> list[bytes]:
-    """The first k levels of the search, as bytes."""
+    """The words of lengths 1..k of the search, each length as bytes."""
     return [
         b"".join(x.dtype.str.encode() + repr(x.shape).encode() + x.tobytes() for x in level)
-        for level in itertools.islice(kleinian._word_levels(pres), k)
+        for level in _joined_levels(pres, k)
     ]
 
 
 class TestNewRows:
-    """The search's levels do not depend on how its hashes collide."""
+    """The search's levels do not depend on how its hashes collide, nor on
+    how its word lengths are split into chunks."""
+
+    def assert_levels_with_colliding_hashes(self, monkeypatch, checked, pres, hash_bits, k):
+        expected = _levels(pres, k)
+        real = kleinian._key_hashes
+        mask = np.uint64(2**hash_bits - 1)
+        assert checked["within"] == checked["across"] == 0  # the real hash
+        monkeypatch.setattr(kleinian, "_key_hashes", lambda keys: real(keys) & mask)
+        assert _levels(pres, k) == expected
+        assert checked["within"] > 0 and checked["across"] > 0 and checked["chunks"] > 0
 
     @pytest.mark.parametrize("group", ["figure_eight", "generic_1", "generic_2"])
     @pytest.mark.parametrize("hash_bits", [0, 4])
     def test_colliding_hashes(self, data_dir, monkeypatch, checked_new_rows, group, hash_bits):
         pres = _search_groups(data_dir)[group]
-        expected = _levels(pres, 9)
-        real = kleinian._key_hashes
-        mask = np.uint64(2**hash_bits - 1)
-        assert checked_new_rows == {"within": 0, "across": 0}  # the real hash
-        monkeypatch.setattr(kleinian, "_key_hashes", lambda keys: real(keys) & mask)
-        assert _levels(pres, 9) == expected
-        assert checked_new_rows["within"] > 0 and checked_new_rows["across"] > 0
+        self.assert_levels_with_colliding_hashes(monkeypatch, checked_new_rows, pres, hash_bits, 9)
+
+    @pytest.mark.parametrize("group", ["figure_eight", "generic_1", "generic_2"])
+    @pytest.mark.parametrize("hash_bits", [0, 4])
+    def test_colliding_hashes_in_small_chunks(
+        self, data_dir, monkeypatch, checked_new_rows, group, hash_bits
+    ):
+        # with chunks of a few candidates, every repeat of a word of the
+        # same length lies in an earlier chunk and is compared in full
+        pres = _search_groups(data_dir)[group]
+        _small_chunks(monkeypatch)
+        self.assert_levels_with_colliding_hashes(monkeypatch, checked_new_rows, pres, hash_bits, 7)
 
     @pytest.mark.parametrize("group", ["generic_1", "generic_2"])
     def test_hashes_colliding_across_levels_only(
         self, data_dir, monkeypatch, checked_new_rows, group
     ):
-        # no two words of these groups share a matrix by length 9, so the
-        # rank of a key among the distinct keys of its level is a hash on
-        # them: it never collides within a level and always with earlier ones
+        # no two words of these groups share a matrix by length 9, so, with
+        # each length built as one chunk, the rank of a key among the
+        # distinct keys of its length is a hash on them: it never collides
+        # within a length and always with shorter words
         pres = _search_groups(data_dir)[group]
+        _whole_lengths(monkeypatch)
         expected = _levels(pres, 9)
 
         def rank(keys):
             rows = keys.view(np.dtype((np.void, 64))).ravel()
             return np.unique(rows, return_inverse=True)[1].astype(np.uint64)
 
-        assert checked_new_rows == {"within": 0, "across": 0}  # the real hash
+        assert checked_new_rows == {"within": 0, "across": 0, "chunks": 0}  # the real hash
         monkeypatch.setattr(kleinian, "_key_hashes", rank)
         assert _levels(pres, 9) == expected
-        assert checked_new_rows["within"] == 0 and checked_new_rows["across"] == 8
+        assert checked_new_rows == {"within": 0, "across": 8, "chunks": 0}
+
+    @pytest.mark.parametrize("group", ["figure_eight", "generic_1", "picard", "rot4"])
+    def test_chunks_give_the_levels_of_whole_lengths(
+        self, data_dir, monkeypatch, checked_new_rows, group
+    ):
+        # the figure-eight, Picard and rot4 groups repeat words of one
+        # length, which small chunks put in different chunks
+        pres = _search_groups(data_dir)[group]
+        _whole_lengths(monkeypatch)
+        expected = _levels(pres, 7)
+        assert checked_new_rows["chunks"] == 0
+        _small_chunks(monkeypatch)
+        assert _levels(pres, 7) == expected
+        assert (checked_new_rows["chunks"] > 0) == (group != "generic_1")
+        assert checked_new_rows["within"] == checked_new_rows["across"] == 0
 
 
 def _sign_equal_pairs(words: np.ndarray, tol: float = 1e-12):
@@ -721,7 +779,7 @@ class TestWordKeys:
         # the Picard group PSL(2, Z[i]) has elements of orders 2 and 3, so
         # many of its words are one matrix up to sign
         pres = read_presentation(data_dir / "picard.txt")
-        levels = list(itertools.islice(kleinian._word_levels(pres), 6))
+        levels = _joined_levels(pres, 6)
         assert [len(level.words) for level in levels] == [6, 22, 62, 166, 424, 1056]
         assert _sign_equal_pairs(np.concatenate([level.words for level in levels])) == []
 
@@ -739,6 +797,25 @@ def test_tube_radius_golden(capsys, data_dir):
             out.append(f"$ tubevol tube-radius {name} --max-word-length {k}\n")
             out.append(capsys.readouterr().out)
     assert "".join(out) == (data_dir / "tube_radius_golden.txt").read_text()
+
+
+def test_tube_radius_golden_in_small_chunks(capsys, monkeypatch, data_dir):
+    # nor when each word length is split into chunks of a few candidates
+    _small_chunks(monkeypatch, 24)
+    test_tube_radius_golden(capsys, data_dir)
+
+
+def test_search_memory_is_bounded(data_dir):
+    # the search holds a chunk of the longest length, not the whole length:
+    # at k=10 its traced peak was 17.9 MB when each length was built whole
+    pres = read_presentation(data_dir / "figure_eight.txt")
+    tracemalloc.start()
+    try:
+        tube_radius_upper_bound(pres, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20
 
 
 class TestPresentationFile:
