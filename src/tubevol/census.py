@@ -296,18 +296,12 @@ def _write_csv(path, columns: dict[str, np.ndarray], float_repr: bool = False) -
 # Ingest
 
 
-def _row_diagnostics(lines, names: dict, header_seen: bool) -> tuple[list[str], bool]:
-    """The row-numbered diagnostics of the rows among numbered dataset lines
+def _row_diagnostics(lines, names: dict) -> list[str]:
+    """The row-numbered diagnostics of the rows among numbered record lines
     that fail the grammar or a check ``ingest`` documents, one row at a
-    time, and whether the header has been seen.  ``names`` holds the valid
-    names so far and gains the valid rows'; a wrong header raises."""
+    time.  ``names`` holds the valid names so far and gains the valid rows'."""
     diagnostics: list[str] = []
     for lineno, line in lines:
-        if not header_seen:
-            if line != _CSV_HEADER:
-                raise IngestError([f"line {lineno}: expected header {_CSV_HEADER!r}, got {line!r}"])
-            header_seen = True
-            continue
         parts = line.split(",")
         if len(parts) != 5:
             diagnostics.append(f"line {lineno}: expected 5 fields, got {len(parts)}")
@@ -341,16 +335,15 @@ def _row_diagnostics(lines, names: dict, header_seen: bool) -> tuple[list[str], 
             diagnostics.append(f"line {lineno}: " + "; ".join(row_problems))
             continue
         names[name] = None
-    return diagnostics, header_seen
+    return diagnostics
 
 
-def _block_records(block: list[str], names: dict, header_seen: bool, sink=None):
-    """One block of raw lines read in bulk: its numbers row after row, and
-    whether the header has been seen, its names added to ``names`` and the
-    block handed to ``sink`` as ``ingest`` says; None,
-    and ``names`` unchanged, if a line is not UTF-8, a row has other than 5
-    fields, the number texts fail ``parse_number``, or a row fails a check
-    ``ingest`` documents."""
+def _block_records(block: list[str], names: dict, sink=None):
+    """One block of raw record lines read in bulk: its numbers row after
+    row, its names added to ``names`` and the block handed to ``sink`` as
+    ``ingest`` says; None, and ``names`` unchanged, if a line is not UTF-8,
+    a row has other than 5 fields, the number texts fail ``parse_number``,
+    or a row fails a check ``ingest`` documents."""
     text = "".join(block)
     if not text.isascii():
         try:
@@ -358,11 +351,6 @@ def _block_records(block: list[str], names: dict, header_seen: bool, sink=None):
         except UnicodeEncodeError:
             return None
     rows = [line for line in map(str.strip, block) if line and line[0] != "#"]
-    if rows and not header_seen:
-        if rows[0] != _CSV_HEADER:
-            return None
-        del rows[0]
-        header_seen = True
     if any(count != 4 for count in map(str.count, rows, itertools.repeat(","))):
         return None
     fields = ",".join(rows).split(",") if rows else []
@@ -387,26 +375,25 @@ def _block_records(block: list[str], names: dict, header_seen: bool, sink=None):
         return None
     if sink is not None and rows:
         sink(map(str.strip, block_names), values)
-    return values, header_seen
+    return values
 
 
 def ingest(path, sink=None) -> Table:
     """Read drill records from a CSV file into a table of ``INPUT_COLUMNS``.
 
     Format: lines as ``errors.read_lines`` reads them, the header
-    ``name,v_fill,v_drill,length,radius``, then one record per line, its
-    numbers as ``errors.parse_number`` reads them.  The file is read once,
-    so it may be a pipe, in blocks of about 64K characters
-    (``errors.read_blocks``), each parsed and checked in bulk.  From the
-    first block that fails on, each row is checked on its own in the same
-    read, and the result is an IngestError carrying row-numbered
-    diagnostics (non-numeric fields, a wrong field count, duplicate or empty
-    names, nonpositive length/radius, or v_drill <= v_fill, which breaks the
-    strict drilling inequality), or ParseError for bytes that are not UTF-8.
-    ``sink``, if given, is called as ``sink(names, values)`` on each block
-    of records that passes the bulk checks, in file order, with an
-    iterator of its stripped names and its numbers row after row as one
-    float64 array.
+    ``name,v_fill,v_drill,length,radius`` first, then one record per line, its
+    numbers as ``errors.parse_number`` reads them.  The file is read once, so
+    it may be a pipe, in blocks of about 64K characters
+    (``errors.read_blocks``), each parsed and checked in bulk.  A block that
+    fails is checked row by row against the valid names so far, and the result
+    is an IngestError carrying row-numbered diagnostics (non-numeric fields, a
+    wrong field count, duplicate or empty names, nonpositive length/radius, or
+    v_drill <= v_fill, which breaks the strict drilling inequality), or
+    ParseError for bytes that are not UTF-8.  ``sink``, if given, is called as
+    ``sink(names, values)`` on each block of records that passes the bulk
+    checks, in file order up to the first that fails, with an iterator of its
+    stripped names and its numbers row after row as one float64 array.
     """
     # the valid names so far, in file order, as the keys of a dict
     names: dict[str, None] = {}
@@ -415,20 +402,32 @@ def ingest(path, sink=None) -> Table:
     # columns kept 8-10 MB more heap resident at 10^6 rows
     numbers = array("d")
     diagnostics: list[str] = []
-    header_seen = False
-    start = 1
-    for block in read_blocks(path):
-        records = None if diagnostics else _block_records(block, names, header_seen, sink)
-        if records is None:
-            lines = numbered_lines(path, block, start)
-            found, header_seen = _row_diagnostics(lines, names, header_seen)
-            diagnostics += found
+    blocks = read_blocks(path)
+    try:  # the file is closed before an error leaves
+        start = 1
+        for block in blocks:
+            lineno, line = next(numbered_lines(path, block, start), (None, None))
+            if line is not None:
+                break
+            start += len(block)
         else:
-            values, header_seen = records
-            numbers.frombytes(memoryview(values).cast("B"))
-        start += len(block)
-    if diagnostics or not header_seen:
-        raise IngestError(diagnostics or ["file has no header line"])
+            raise IngestError(["file has no header line"])
+        if line != _CSV_HEADER:
+            raise IngestError([f"line {lineno}: expected header {_CSV_HEADER!r}, got {line!r}"])
+        # the lines after the header, then the later blocks
+        block, start = block[lineno - start + 1 :], lineno + 1
+        for block in itertools.chain([block], blocks):
+            values = _block_records(block, names, sink)
+            if values is None:
+                diagnostics += _row_diagnostics(numbered_lines(path, block, start), names)
+                sink = None
+            elif not diagnostics:  # a failing file's numbers are not returned
+                numbers.frombytes(memoryview(values).cast("B"))
+            start += len(block)
+    finally:
+        blocks.close()
+    if diagnostics:
+        raise IngestError(diagnostics)
     # the dict and its strings are freed before the columns are copied out
     names = np.array(list(names), _NAME_DTYPE)
     values = np.frombuffer(numbers, np.float64).reshape(-1, len(INPUT_COLUMNS)).T.copy()

@@ -191,6 +191,19 @@ def horocusp_volume(t: TubeData) -> float:
 STRICT_FLOATS = dict(over="raise", divide="raise", invalid="raise")
 
 
+def _finite(name: str, value: np.ndarray, **inputs) -> np.ndarray:
+    """``value``; if an entry is not finite, a DomainError naming the
+    quantity and the ``inputs``, which broadcast to it, at the first one."""
+    finite = np.isfinite(value)
+    if not finite.all():
+        at = np.argmin(finite)
+        where = ", ".join(
+            f"{key} {float(np.broadcast_to(x, value.shape).flat[at])!r}" for key, x in inputs.items()
+        )
+        raise DomainError(f"{name} overflows binary64 at {where}")
+    return value
+
+
 @np.errstate(**STRICT_FLOATS)
 def drilling_factors(radius) -> tuple[np.ndarray, np.ndarray]:
     """C_O = (coth R coth 2R)^(3/2) and C_P = coth(2R)^3 over an array of R.
@@ -199,30 +212,37 @@ def drilling_factors(radius) -> tuple[np.ndarray, np.ndarray]:
     radius = np.ascontiguousarray(radius, dtype=np.float64)
     tanh_r, tanh_2r = np.tanh(radius), np.tanh(2.0 * radius)
     with np.errstate(over="ignore", divide="ignore"):
-        factors = (1.0 / (tanh_r * tanh_2r)) ** 1.5, (1.0 / tanh_2r) ** 3
-    for name, factor in zip(("C_O", "C_P"), factors):
-        if np.isinf(factor).any():
-            r = float(radius[np.argmax(np.isinf(factor))])
-            raise DomainError(f"{name} overflows binary64 at radius {r!r}")
-    return factors
+        c_o, c_p = (1.0 / (tanh_r * tanh_2r)) ** 1.5, (1.0 / tanh_2r) ** 3
+    return _finite("C_O", c_o, radius=radius), _finite("C_P", c_p, radius=radius)
 
 
 @np.errstate(**STRICT_FLOATS)
 def drilling_terms(v_fill, length, radius) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """B = v_fill + pi L sinh(R)^2 sech(2R) over broadcast arrays, then C_O
-    and C_P as drilling_factors(radius); with v_fill = 0, B is the tube term."""
+    and C_P as drilling_factors(radius); with v_fill = 0, B is the tube term.
+    Where B overflows binary64 (sinh(R)^2 does above R = 355), a DomainError
+    names it and the first such record."""
     v_fill, length, radius = (
         np.ascontiguousarray(x, dtype=np.float64) for x in (v_fill, length, radius)
     )
-    b = v_fill + np.pi * length * np.sinh(radius) ** 2 / np.cosh(2.0 * radius)
+    # an overflowing sinh(R)^2 over an overflowing cosh(2R) is inf / inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = v_fill + np.pi * length * np.sinh(radius) ** 2 / np.cosh(2.0 * radius)
+    b = _finite("B", b, v_fill=v_fill, length=length, radius=radius)
     return (b, *drilling_factors(radius))
 
 
 @np.errstate(**STRICT_FLOATS)
 def drilling_estimates(v_fill, length, radius) -> tuple[np.ndarray, ...]:
-    """B, C_O and C_P as drilling_terms, then the estimates C_O B and C_P B."""
+    """B, C_O and C_P as drilling_terms, then the estimates C_O B and C_P B;
+    where one overflows binary64, a DomainError names it and the first such
+    record."""
     b, c_o, c_p = drilling_terms(v_fill, length, radius)
-    return b, c_o, c_p, c_o * b, c_p * b
+    record = dict(v_fill=v_fill, length=length, radius=radius)
+    with np.errstate(over="ignore"):
+        v_old, v_perelman = c_o * b, c_p * b
+    v_old = _finite("V_est_old", v_old, **record)
+    return b, c_o, c_p, v_old, _finite("V_est_perelman", v_perelman, **record)
 
 
 def bound_base_B(v_fill: float, t: TubeData) -> float:

@@ -295,12 +295,11 @@ class ComplexDistance:
 
 
 def _to_zero_infinity(line: GeodesicLine) -> MobiusTransform:
-    """A transformation sending line.p to 0 and line.q to INFINITY."""
+    """A transformation sending line.p to 0 and line.q to INFINITY; line.q
+    is finite, since INFINITY sorts first."""
     p, q = line.p, line.q
     if is_infinity(p):
         return MobiusTransform(0.0, 1.0, 1.0, -q)
-    if is_infinity(q):
-        return MobiusTransform(1.0, -p, 0.0, 1.0)
     return MobiusTransform(1.0, -p, 1.0, -q)
 
 

@@ -173,6 +173,46 @@ class TestIngest:
             ingest(path, sink=lambda names, values: handed.append(list(names)))
         assert handed == [names for names, _ in blocks[:-1]]
 
+    @pytest.mark.parametrize("bad", [(0, -1), (2,)], ids=["first_and_last", "middle"])
+    def test_only_failing_blocks_are_checked_row_by_row(self, tmp_path, monkeypatch, bad):
+        # a block that passes the bulk checks is read in bulk even after one
+        # that fails: the row checker sees the lines of the failing blocks
+        # alone, and the sink gets no block from the first failing one on
+        records = synthesize(300, seed=5)
+        values = zip(*(records[key].tolist() for key in INPUT_COLUMNS))
+        rows = [f"m{i}," + ",".join(map(repr, row)) for i, row in enumerate(values)]
+        path = self.write(tmp_path, "".join(row + "\n" for row in rows))
+        monkeypatch.setattr(errors, "_BLOCK_CHARS", 1000)
+        blocks = list(errors.read_blocks(path))
+        assert len(blocks) > 4
+        # line 1 is the header, line n the record rows[n - 2]
+        starts = np.cumsum([1] + [len(block) for block in blocks])
+        lines = [list(range(max(2, starts[i]), starts[i + 1])) for i in range(len(blocks))]
+        bad = [lines[i] for i in bad]
+        for lineno in (block[len(block) // 2] for block in bad):
+            # v_fill and v_drill swapped, which keeps every line's length
+            name, v_fill, v_drill, length, radius = rows[lineno - 2].split(",")
+            rows[lineno - 2] = ",".join((name, v_drill, v_fill, length, radius))
+        path = self.write(tmp_path, "".join(row + "\n" for row in rows))
+        assert list(map(len, errors.read_blocks(path))) == list(map(len, blocks))
+
+        checked = []
+        row_diagnostics = census._row_diagnostics
+
+        def spy(lines, *args):
+            lines = list(lines)
+            checked.append([lineno for lineno, _ in lines])
+            return row_diagnostics(iter(lines), *args)
+
+        monkeypatch.setattr(census, "_row_diagnostics", spy)
+        handed = []
+        with pytest.raises(IngestError) as caught:
+            ingest(path, sink=lambda names, values: handed.append(list(names)))
+        assert checked == bad
+        assert len(caught.value.diagnostics) == len(bad)
+        before = lines[: lines.index(bad[0])]
+        assert handed == [[f"m{lineno - 2}" for lineno in block] for block in before]
+
     def test_round_trip_bit_identical(self, tmp_path):
         records = synthesize(25, seed=11)
         path = tmp_path / "rt.csv"

@@ -73,6 +73,27 @@ class TestEstimate:
         code, out, err = run(capsys, "estimate", "2", "1", radius)
         assert (code, out, err) == (2, "", error)
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            # C_O B, with C_O(0.1) about 354
+            (
+                ("1e306", "1", "0.1"),
+                "domain error: V_est_old overflows binary64 at v_fill 1e+306, length 1.0, "
+                "radius 0.1\n",
+            ),
+            # pi L
+            (
+                ("1", "1e308", "1"),
+                "domain error: B overflows binary64 at v_fill 1.0, length 1e+308, radius 1.0\n",
+            ),
+        ],
+        ids=["V_est_old", "B"],
+    )
+    def test_overflow_names_the_quantity(self, capsys, argv, error):
+        code, out, err = run(capsys, "estimate", *argv)
+        assert (code, out, err) == (2, "", error)
+
     def test_negative_volume_is_domain_error(self, capsys):
         code, _, _ = run(capsys, "estimate", "-2.0", "1.0", "0.5")
         assert code == 2
@@ -155,6 +176,27 @@ class TestVerify:
         code, out, err = run(capsys, "verify", str(dataset), "--report", str(report))
         assert (code, out) == (2, "")
         assert err == "domain error: C_O overflows binary64 at radius 1e-300\n"
+        assert not report.exists()
+
+    @pytest.mark.parametrize(
+        "row, error",
+        [
+            (
+                "x,1e306,1.5e306,1,0.1",
+                "V_est_old overflows binary64 at v_fill 1e+306, length 1.0, radius 0.1",
+            ),
+            ("x,1,2,1e308,1", "B overflows binary64 at v_fill 1.0, length 1e+308, radius 1.0"),
+            # sinh(R)^2 and cosh(2R) both overflow
+            ("x,2.0,2.5,0.5,400", "B overflows binary64 at v_fill 2.0, length 0.5, radius 400.0"),
+        ],
+        ids=["V_est_old", "B_at_length", "B_at_radius"],
+    )
+    def test_overflow_names_the_quantity(self, capsys, tmp_path, row, error):
+        dataset = tmp_path / "huge.csv"
+        dataset.write_text(f"name,v_fill,v_drill,length,radius\nm0,1,2,1,1\n{row}\n")
+        report = tmp_path / "huge.report.csv"
+        code, out, err = run(capsys, "verify", str(dataset), "--report", str(report))
+        assert (code, out, err) == (2, "", f"domain error: {error}\n")
         assert not report.exists()
 
     def test_tol_flag_relaxes_verdict(self, capsys, tmp_path, data_dir):

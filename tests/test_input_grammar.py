@@ -288,15 +288,20 @@ def census_files(draw):
 
 
 def _row_pass(path):
-    """What the row checker finds over the whole file: its diagnostics, or
-    its ParseError."""
+    """What the header check and then the row checker find over the whole
+    file: their diagnostics, or the ParseError."""
+    lines = errors.read_lines(path)
     try:
-        diagnostics, header_seen = census._row_diagnostics(errors.read_lines(path), {}, False)
-    except errors.IngestError as exc:  # a line where the header belongs
-        return exc.diagnostics
+        lineno, line = next(lines, (None, None))
+        if line is None:
+            return ["file has no header line"]
+        if line != HEADER:
+            return [f"line {lineno}: expected header {HEADER!r}, got {line!r}"]
+        return census._row_diagnostics(lines, {})
     except errors.ParseError as exc:
         return exc
-    return diagnostics if header_seen else ["file has no header line"]
+    finally:
+        lines.close()
 
 
 @settings(max_examples=200, deadline=None)
