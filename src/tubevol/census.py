@@ -452,12 +452,18 @@ def evaluate(table: Table, tol: float = 0.0) -> Table:
 
     ``tol`` is a relative slack applied to the inequality verdicts, for data
     whose volumes were computed at limited precision; the default demands
-    the bounds exactly.
+    the bounds exactly.  A bound that overflows binary64 is a DomainError
+    naming the first record where it does.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise DomainError("evaluate: tol must be >= 0")
     v_fill, v_drill, length, radius = (table[key] for key in INPUT_COLUMNS)
-    b, c_o, c_p, v_est_old, v_est_perelman = hypkernel.drilling_estimates(v_fill, length, radius)
+    try:
+        b, c_o, c_p, v_est_old, v_est_perelman = hypkernel.drilling_estimates(
+            v_fill, length, radius
+        )
+    except DomainError as exc:  # an overflow, at the record exc.index
+        raise DomainError(f"name {table.names[exc.index]!r}: {exc}") from None
     delta_v = v_drill - v_fill
     pi_l = math.pi * length
     slack = 1.0 + tol

@@ -86,12 +86,18 @@ def _cmd_estimate(args) -> int:
     v_fill = args.v_fill
     if not (math.isfinite(v_fill) and v_fill > 0.0):
         raise DomainError("v_fill must be positive")
-    rows = [
-        ("tube_volume", hypkernel.tube_volume(tube)),
-        ("tube_boundary_area", hypkernel.tube_boundary_area(tube)),
-        ("mean_curvature", hypkernel.mean_curvature(tube.radius)),
-        ("horocusp_volume", hypkernel.horocusp_volume(tube)),
-    ]
+    where = f" at v_fill {v_fill!r}, length {tube.length!r}, radius {tube.radius!r}"
+    rows = []
+    for name, quantity, arg in (
+        ("tube_volume", hypkernel.tube_volume, tube),
+        ("tube_boundary_area", hypkernel.tube_boundary_area, tube),
+        ("mean_curvature", hypkernel.mean_curvature, tube.radius),
+        ("horocusp_volume", hypkernel.horocusp_volume, tube),
+    ):
+        try:
+            rows.append((name, quantity(arg)))
+        except OverflowError:  # math's, which names no quantity
+            raise _overflow(name, where) from None
     b, c_o, c_p, v_old, v_perelman = (
         float(x[0]) for x in hypkernel.drilling_estimates(v_fill, tube.length, tube.radius)
     )
@@ -100,18 +106,33 @@ def _cmd_estimate(args) -> int:
         rows.append(("V_est_old", v_old))
     if args.factor in ("perelman", "both"):
         rows.append(("V_est_perelman", v_perelman))
+    cells = _cells(rows, where)
     if args.csv:
-        print(",".join(name for name, _ in rows))
-        print(",".join(_fmt(value) for _, value in rows))
+        print(",".join(name for name, _ in cells))
+        print(",".join(text for _, text in cells))
     else:
-        _print_table(rows)
+        _print_table(cells)
     return 0
 
 
-def _print_table(rows) -> None:
-    width = max(len(name) for name, _ in rows) + 1
+def _overflow(name: str, where: str) -> OverflowError:
+    return OverflowError(f"{name} overflows binary64{where}")
+
+
+def _cells(rows, where: str = "") -> list[tuple[str, str]]:
+    """Each (name, value) of ``rows`` with its value formatted, every one
+    before any is printed, so that an error prints no partial table; a value
+    that is not finite is an OverflowError naming it, then ``where``."""
     for name, value in rows:
-        _line(name, _fmt(value), width)
+        if not math.isfinite(value):
+            raise _overflow(name, where)
+    return [(name, _fmt(value)) for name, value in rows]
+
+
+def _print_table(cells) -> None:
+    width = max(len(name) for name, _ in cells) + 1
+    for name, text in cells:
+        _line(name, text, width)
 
 
 def _print_summary(stats: census.DatasetStats) -> None:
@@ -281,7 +302,7 @@ def _cmd_bounds(args) -> int:
         rows.append(("min_volume_scan", topobounds.min_volume_scan(v_cusped, radius, l_max)))
     if not rows:
         raise ParseError("supply at least one invariant (see --help)")
-    _print_table(rows)
+    _print_table(_cells(rows))
     return 0
 
 

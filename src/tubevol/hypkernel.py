@@ -193,14 +193,17 @@ STRICT_FLOATS = dict(over="raise", divide="raise", invalid="raise")
 
 def _finite(name: str, value: np.ndarray, **inputs) -> np.ndarray:
     """``value``; if an entry is not finite, a DomainError naming the
-    quantity and the ``inputs``, which broadcast to it, at the first one."""
+    quantity and the ``inputs``, which broadcast to it, at the first one,
+    whose flat index the error carries as ``index``."""
     finite = np.isfinite(value)
     if not finite.all():
-        at = np.argmin(finite)
+        at = int(np.argmin(finite))
         where = ", ".join(
             f"{key} {float(np.broadcast_to(x, value.shape).flat[at])!r}" for key, x in inputs.items()
         )
-        raise DomainError(f"{name} overflows binary64 at {where}")
+        error = DomainError(f"{name} overflows binary64 at {where}")
+        error.index = at
+        raise error
     return value
 
 

@@ -52,6 +52,8 @@ _DET_ROUNDING = 16 * sys.float_info.epsilon
 # a word fixes the core's axis when its matrix in the core's frame is
 # diagonal or anti-diagonal to this tolerance, relative to its largest entry
 _FIXES_AXIS_TOL = 1e-9
+# the letters of words: letter 2i is generator i, letter 2i + 1 its inverse
+_ALPHABET = "aAbBcCdDeEfFgGhHiIjJkKlLmMnNoOpPqQrRsStTuUvVwWxXyYzZ"
 
 
 class _PointAtInfinity:
@@ -121,7 +123,9 @@ class MobiusTransform:
         if abs(det - 1.0) > _DET_ROUNDING * (abs(a * d) + abs(b * c)):
             s = cmath.sqrt(det)
             a, b, c, d = a / s, b / s, c / s, d / s
-            if abs(a * d - b * c - 1.0) > _DET_ROUNDING * (abs(a * d) + abs(b * c)):
+            # entries that the division overflowed can pass the re-check
+            det_ok = abs(a * d - b * c - 1.0) <= _DET_ROUNDING * (abs(a * d) + abs(b * c))
+            if not (det_ok and all(_finite_complex(v) for v in (a, b, c, d))):
                 raise DomainError("MobiusTransform: could not normalize determinant")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -366,8 +370,8 @@ class GroupPresentation:
         object.__setattr__(self, "generators", tuple(self.generators))
         if not self.generators:
             raise DomainError("GroupPresentation: need at least one generator")
-        if len(self.generators) > 26:
-            raise DomainError("GroupPresentation: at most 26 generators")
+        if len(self.generators) > len(_ALPHABET) // 2:
+            raise DomainError(f"GroupPresentation: at most {len(_ALPHABET) // 2} generators")
         if not self.core_word:
             raise DomainError("GroupPresentation: core_word must be nonempty")
         core = evaluate_word(self.generators, self.core_word)
@@ -378,37 +382,26 @@ class GroupPresentation:
         return evaluate_word(self.generators, self.core_word)
 
 
-def _letter_matrix(generators, letter: str) -> MobiusTransform:
-    if letter.islower():
-        index = ord(letter) - ord("a")
-        invert = False
-    elif letter.isupper():
-        index = ord(letter) - ord("A")
-        invert = True
-    else:
-        raise DomainError(f"invalid word letter {letter!r}")
-    if not 0 <= index < len(generators):
-        raise DomainError(f"word letter {letter!r} has no generator")
-    gen = generators[index]
-    return gen.inverse() if invert else gen
+def _letter_matrices(generators) -> list[MobiusTransform]:
+    """The matrix of each letter of ``_ALPHABET`` that ``generators`` spell:
+    each generator, then its inverse."""
+    return [m for gen in generators for m in (gen, gen.inverse())]
 
 
 def evaluate_word(generators, word: str) -> MobiusTransform:
     """Product of generator matrices spelled by ``word``."""
     if not word:
         raise DomainError("evaluate_word: empty word")
-    m = _letter_matrix(generators, word[0])
-    for ch in word[1:]:
-        m = m @ _letter_matrix(generators, ch)
+    matrices = _letter_matrices(generators)
+    m = None
+    for letter in word:
+        index = _ALPHABET.find(letter)
+        if not 0 <= index < len(matrices):
+            if not (letter.islower() or letter.isupper()):
+                raise DomainError(f"invalid word letter {letter!r}")
+            raise DomainError(f"word letter {letter!r} has no generator")
+        m = matrices[index] if m is None else m @ matrices[index]
     return m
-
-
-def _letters(count: int) -> list[str]:
-    out = []
-    for i in range(count):
-        out.append(chr(ord("a") + i))
-        out.append(chr(ord("A") + i))
-    return out
 
 
 def _matrix(m: MobiusTransform) -> np.ndarray:
@@ -493,7 +486,7 @@ def _new_rows(keys, hashes, *earlier) -> tuple[np.ndarray, list[np.ndarray]]:
 class WordLevel(NamedTuple):
     """New words of one length, a chunk of them in breadth-first order:
     their matrices in the frame where the core's axis is (0, INFINITY),
-    their spellings as indices into ``_letters(len(generators))``, and
+    their spellings as indices into ``_ALPHABET``, and
     whether each ends with the core word or its inverse."""
 
     words: np.ndarray
@@ -540,14 +533,14 @@ def _word_levels(g: GroupPresentation, max_length: int):
     built is kept.  Its words' keys join those of shorter words once it is
     done, unless it is the last length.
     """
-    letters = _letters(len(g.generators))
+    letters = _ALPHABET[: 2 * len(g.generators)]
     to_core = _to_zero_infinity(axis(g.core()))
     letter_matrices = (
         _matrix(to_core)
-        @ np.stack([_matrix(_letter_matrix(g.generators, letter)) for letter in letters])
+        @ np.stack([_matrix(m) for m in _letter_matrices(g.generators)])
         @ _matrix(to_core.inverse())
     )
-    # letters alternate generator, inverse: a, A, b, B, ...
+    # _ALPHABET puts each letter beside its inverse: a, A, b, B, ...
     inverse_letter = np.arange(len(letters)) ^ 1
     core = np.array([letters.index(letter) for letter in g.core_word])
     cores = np.stack([core, inverse_letter[core[::-1]]])  # the core word and its inverse
@@ -642,7 +635,6 @@ def tube_radius_upper_bound(
     """
     if max_word_length < 1:
         raise DomainError("tube_radius_upper_bound: max_word_length must be >= 1")
-    letters = _letters(len(g.generators))
     best_d, witness = math.inf, None
     for words, spelling, at_core in _word_levels(g, max_word_length):
         # a word whose off-diagonal or diagonal entries vanish fixes the axis
@@ -655,7 +647,7 @@ def tube_radius_upper_bound(
             j = int(np.argmin(d))
             if d[j] < best_d:
                 best_d = float(d[j])
-                witness = "".join(letters[i] for i in spelling[moved[j]])
+                witness = "".join(_ALPHABET[i] for i in spelling[moved[j]])
     return TubeRadiusResult(0.5 * best_d, witness)
 
 
@@ -682,8 +674,8 @@ def read_presentation(path) -> GroupPresentation:
         parts = line.split()
         if len(parts) != 8:
             raise ParseError(f"{path}: line {lineno}: expected 8 values, got {len(parts)}")
-        if len(generators) == 26:
-            raise ParseError(f"{path}: line {lineno}: more than 26 generators")
+        if len(generators) == len(_ALPHABET) // 2:
+            raise ParseError(f"{path}: line {lineno}: more than {len(generators)} generators")
         try:
             v = [parse_number(p) for p in parts]
             generators.append(MobiusTransform(*map(complex, v[0::2], v[1::2])))
@@ -693,7 +685,7 @@ def read_presentation(path) -> GroupPresentation:
         raise ParseError(f"{path}: missing 'core: <word>' line")
     if not generators:
         raise ParseError(f"{path}: no generator lines")
-    letters = "".join(_letters(len(generators)))
+    letters = _ALPHABET[: 2 * len(generators)]
     if not core_word or not set(core_word) <= set(letters):
         raise ParseError(
             f"{path}: line {core_line}: core word {core_word!r} is not a word in {letters}"

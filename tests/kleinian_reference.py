@@ -15,6 +15,7 @@ import numpy as np
 from tubevol.errors import DomainError
 from tubevol.hypkernel import STRICT_FLOATS
 from tubevol.kleinian import (
+    _ALPHABET,
     _FIXES_AXIS_TOL,
     _KEY_DIGITS,
     GeodesicLine,
@@ -22,8 +23,7 @@ from tubevol.kleinian import (
     TubeRadiusResult,
     _axis_distance,
     _distance,
-    _letter_matrix,
-    _letters,
+    _letter_matrices,
     _matrix,
     _to_zero_infinity,
     axis,
@@ -133,11 +133,11 @@ def tube_radius_upper_bound(
     """
     if max_word_length < 1:
         raise DomainError("tube_radius_upper_bound: max_word_length must be >= 1")
-    letters = _letters(len(g.generators))
+    letters = _ALPHABET[: 2 * len(g.generators)]
     to_core = _to_zero_infinity(axis(g.core()))
     letter_matrices = (
         _matrix(to_core)
-        @ np.stack([_matrix(_letter_matrix(g.generators, letter)) for letter in letters])
+        @ np.stack([_matrix(m) for m in _letter_matrices(g.generators)])
         @ _matrix(to_core.inverse())
     )
     # letters alternate generator, inverse: a, A, b, B, ...

@@ -241,6 +241,16 @@ class TestEvaluate:
         assert report["old_ok"][0]  # the older factor is much larger at this radius
         assert report["overshoot_perelman"][0] < 0.0
 
+    def test_overflow_names_the_first_record(self):
+        rows = [(f"m{i}", 1.0, 2.0, 1.0, 1.0) for i in range(5)]
+        rows[2] = ("late", 1.0, 2.0, 1e308, 1.0)
+        rows[4] = ("later", 1.0, 2.0, 1e308, 1.0)
+        with pytest.raises(DomainError) as raised:
+            evaluate(table(*rows))
+        assert str(raised.value) == (
+            "name 'late': B overflows binary64 at v_fill 1.0, length 1e+308, radius 1.0"
+        )
+
     @given(
         v_fill=st.floats(min_value=0.5, max_value=20.0),
         length=st.floats(min_value=0.01, max_value=5.0),

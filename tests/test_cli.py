@@ -55,10 +55,23 @@ class TestEstimate:
         assert "domain error" in err
 
     def test_overflowing_radius_is_domain_error(self, capsys):
-        code, _, err = run(capsys, "estimate", "2.0", "1.0", "400")
-        assert code == 2
-        # one readable line, not the (errno, message) args of the error
-        assert err == "domain error: Numerical result out of range\n"
+        code, out, err = run(capsys, "estimate", "2.0", "1.0", "400")
+        # one readable line naming the row, not math's (errno, message)
+        assert (code, out) == (2, "")
+        assert err == (
+            "domain error: tube_volume overflows binary64 at v_fill 2.0, length 1.0, "
+            "radius 400.0\n"
+        )
+
+    @pytest.mark.parametrize("csv", [[], ["--csv"]], ids=["table", "csv"])
+    def test_overflowing_row_prints_no_partial_table(self, capsys, csv):
+        # tube_volume is 1.17e308, the boundary area pi L sinh(2R) inf
+        code, out, err = run(capsys, "estimate", *csv, "1", "5e304", "4")
+        assert (code, out) == (2, "")
+        assert err == (
+            "domain error: tube_boundary_area overflows binary64 at v_fill 1.0, "
+            "length 5e+304, radius 4.0\n"
+        )
 
     @pytest.mark.parametrize(
         "radius, error",
@@ -175,7 +188,7 @@ class TestVerify:
         report = tmp_path / "tiny_radius.report.csv"
         code, out, err = run(capsys, "verify", str(dataset), "--report", str(report))
         assert (code, out) == (2, "")
-        assert err == "domain error: C_O overflows binary64 at radius 1e-300\n"
+        assert err == "domain error: name 'tiny': C_O overflows binary64 at radius 1e-300\n"
         assert not report.exists()
 
     @pytest.mark.parametrize(
@@ -196,7 +209,16 @@ class TestVerify:
         dataset.write_text(f"name,v_fill,v_drill,length,radius\nm0,1,2,1,1\n{row}\n")
         report = tmp_path / "huge.report.csv"
         code, out, err = run(capsys, "verify", str(dataset), "--report", str(report))
-        assert (code, out, err) == (2, "", f"domain error: {error}\n")
+        assert (code, out, err) == (2, "", f"domain error: name 'x': {error}\n")
+        assert not report.exists()
+
+    @pytest.mark.parametrize("text", ["", "# only\n\n  # comments\n"], ids=["empty", "comments"])
+    def test_no_header_line(self, capsys, tmp_path, text):
+        dataset = tmp_path / "headless.csv"
+        dataset.write_text(text)
+        report = tmp_path / "headless.report.csv"
+        code, out, err = run(capsys, "verify", str(dataset), "--report", str(report))
+        assert (code, out, err) == (1, "", "error: file has no header line\n")
         assert not report.exists()
 
     def test_tol_flag_relaxes_verdict(self, capsys, tmp_path, data_dir):
@@ -588,6 +610,18 @@ class TestFigures:
         assert out == ""
         assert err.startswith("domain error:") and len(err.splitlines()) == 1
 
+    def test_overflow_names_the_record(self, capsys, tmp_path):
+        dataset = tmp_path / "huge.csv"
+        dataset.write_text("name,v_fill,v_drill,length,radius\nm0,1,2,1,1\nx,1,2,1e308,1\n")
+        out_dir = tmp_path / "figs"
+        code, out, err = run(capsys, "figures", str(dataset), str(out_dir))
+        assert (code, out) == (2, "")
+        assert err == (
+            "domain error: name 'x': B overflows binary64 at v_fill 1.0, length 1e+308, "
+            "radius 1.0\n"
+        )
+        assert not out_dir.exists()
+
     def test_unwritable_out_dir(self, capsys, tmp_path, data_dir):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
@@ -704,6 +738,11 @@ class TestTubeRadius:
             ("2 0 0 0 0 0 0.5 0\n" * 27 + "core: a\n", "line 27: more than 26 generators"),
             ("1 0 2 0 0.5 0 1 0\ncore: a\n", "line 1: MobiusTransform: matrix is singular"),
             ("2 0 0 0 0 0 inf 0\ncore: a\n", "line 1: MobiusTransform: entries and determinant"),
+            # scaled to determinant 1, the first entry is 1e310
+            (
+                "1e300 0 0 0 0 0 1e-320 0\ncore: a\n",
+                "line 1: MobiusTransform: could not normalize determinant",
+            ),
         ],
         ids=[
             "empty-core",
@@ -713,6 +752,7 @@ class TestTubeRadius:
             "27-generators",
             "singular-generator",
             "infinite-generator",
+            "unscalable-generator",
         ],
     )
     def test_malformed_presentation_is_input_error(self, capsys, tmp_path, text, where):
@@ -900,6 +940,11 @@ class TestBounds:
     def test_domain_error(self, capsys):
         code, _, _ = run(capsys, "bounds", "--chi", "2")
         assert code == 2
+
+    def test_overflowing_row_prints_no_partial_table(self, capsys):
+        # V8 (t/2 - 1) is 1.8e308 at t = 10^308
+        code, out, err = run(capsys, "bounds", "--chi", "-2", "--twist", str(10**308))
+        assert (code, out, err) == (2, "", "domain error: alternating_lower overflows binary64\n")
 
 
 # each config key (README's list) with a command line that reads it and a

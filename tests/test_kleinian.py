@@ -83,6 +83,13 @@ class TestMobiusTransform:
         with pytest.raises(DomainError):
             MobiusTransform(big, big, 5e-324, big)
 
+    @pytest.mark.parametrize("b", [0.0, 1e300])
+    def test_entries_overflowing_normalization_rejected(self, b):
+        # det is 1e-20, so a / sqrt(det) is 1e310: inf passes the
+        # determinant re-check, as inf <= inf
+        with pytest.raises(DomainError, match="could not normalize determinant"):
+            MobiusTransform(1e300, b, 0.0, 1e-320)
+
     def test_inverse_composes_to_identity(self):
         m = MobiusTransform(1.0 + 2.0j, 0.5, -0.25j, 1.0)
         prod = m @ m.inverse()
