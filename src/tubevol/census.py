@@ -445,32 +445,27 @@ def write_dataset(table: Table, path) -> None:
 # Evaluation
 
 
-@np.errstate(**hypkernel.STRICT_FLOATS)
+@np.errstate(all="ignore")
 def evaluate(table: Table, tol: float = 0.0) -> Table:
     """Evaluate every bound on each record of a table of ``INPUT_COLUMNS``,
     preserving order; the result carries the input columns as well.
 
     ``tol`` is a relative slack applied to the inequality verdicts, for data
     whose volumes were computed at limited precision; the default demands
-    the bounds exactly.  A bound that overflows binary64 is a DomainError
-    naming the first record where it does.
+    the bounds exactly.  A column that overflows binary64 is a DomainError
+    naming it and the first record where it does.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise DomainError("evaluate: tol must be >= 0")
-    v_fill, v_drill, length, radius = (table[key] for key in INPUT_COLUMNS)
+    record = {key: table[key] for key in INPUT_COLUMNS}
+    v_fill, v_drill, length, radius = record.values()
+    pi_l = math.pi * length  # overflows only where B does
     try:
         b, c_o, c_p, v_est_old, v_est_perelman = hypkernel.drilling_estimates(
             v_fill, length, radius
         )
-    except DomainError as exc:  # an overflow, at the record exc.index
-        raise DomainError(f"name {table.names[exc.index]!r}: {exc}") from None
-    delta_v = v_drill - v_fill
-    pi_l = math.pi * length
-    slack = 1.0 + tol
-    return Table(
-        table.names,
-        {
-            **table.columns,
+        delta_v = v_drill - v_fill  # positive and finite
+        columns = {
             "b": b,
             "c_o": c_o,
             "c_p": c_p,
@@ -481,6 +476,16 @@ def evaluate(table: Table, tol: float = 0.0) -> Table:
             "delta_v": delta_v,
             "dv_over_pi_l": delta_v / pi_l,
             "b_over_vdrill": b / v_drill,
+        }
+        bounds = {name: hypkernel._finite(name, x, **record) for name, x in columns.items()}
+    except DomainError as exc:  # an overflow, at the record exc.index
+        raise DomainError(f"name {table.names[exc.index]!r}: {exc}") from None
+    slack = 1.0 + tol
+    return Table(
+        table.names,
+        {
+            **table.columns,
+            **bounds,
             "perelman_ok": v_drill <= v_est_perelman * slack,
             "old_ok": v_drill <= v_est_old * slack,
             "bridgeman_ok": delta_v <= pi_l * slack,
@@ -490,18 +495,19 @@ def evaluate(table: Table, tol: float = 0.0) -> Table:
     )
 
 
-@np.errstate(**hypkernel.STRICT_FLOATS)
+@np.errstate(all="ignore")
 def statistics(table: Table) -> DatasetStats:
     """Sample mean and standard deviation (n-1 denominator) of the ratio
-    delta_v / (pi L), violation tallies per inequality, and the (L, R)
-    ranges seen, over an evaluated table."""
+    delta_v / (pi L), each a DomainError naming it where not finite, violation
+    tallies per inequality, and the (L, R) ranges seen, over an evaluated table."""
     if not len(table):
         raise ValueError("statistics: empty table")
     ratios = table["dv_over_pi_l"]
+    std = np.std(ratios, ddof=1) if len(table) > 1 else 0.0
     return DatasetStats(
         count=len(table),
-        mean_ratio=float(np.mean(ratios)),
-        std_ratio=float(np.std(ratios, ddof=1)) if len(table) > 1 else 0.0,
+        mean_ratio=float(hypkernel._finite("mean dv/(pi L)", np.mean(ratios))),
+        std_ratio=float(hypkernel._finite("std dv/(pi L)", std)),
         violations={
             key: int(np.count_nonzero(~table[flag])) for key, flag in _FLAG_FOR_KEY.items()
         },
@@ -670,6 +676,12 @@ class ReportWriter:
 # Figure series
 
 
+def _check_count(count: int, what: str) -> None:
+    """A MemoryError where numpy, asked for twice ``count`` float64s, raises ValueError."""
+    if count > np.iinfo(np.intp).max // 16:
+        raise MemoryError(f"{what} is beyond the largest array numpy can index")
+
+
 def _histogram(values: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
     """``np.histogram`` of ``bins`` equal bins over the range of ``values``;
     values equal up to rounding, which leave no room for distinct edges, get
@@ -722,6 +734,8 @@ def figure_series(
         raise DomainError("figure_series: curve_points must be >= 2")
     if bins < 1:
         raise DomainError("figure_series: bins must be >= 1")
+    _check_count(curve_points, "figure_series: curve_points")
+    _check_count(bins, "figure_series: bins")
     grid = np.linspace(lo, hi, curve_points)
     co, cp = hypkernel.drilling_factors(grid)
 
@@ -804,6 +818,7 @@ def synthesize(n: int, seed: int, noise_sigma: float = 0.017) -> Table:
     """
     if n < 1:
         raise DomainError("synthesize: n must be >= 1")
+    _check_count(n, "synthesize: n")
     if seed < 0:
         raise DomainError("synthesize: seed must be >= 0")
     if not 0.0 <= noise_sigma < 1.0 / 6.0:

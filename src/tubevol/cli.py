@@ -8,12 +8,13 @@ bounds (volume bounds from topological invariants).
 
 Each subcommand imports the modules it calls when it runs.
 
-Exit codes: 0 success, 1 input error, 2 domain error (also a count that
-needs more memory than the machine has), 3 verification failure, 141 (the
-shell's status for SIGPIPE, with nothing printed) when stdout is closed
-early, as by ``| head``.  Numeric output is printed with 12 significant
-digits, and a zero as 0, never -0.  A config file of key=value lines may
-supply defaults; flags override it.
+Exit codes: 0 success, 1 input error, 2 domain error (also a result beyond
+binary64, named with its inputs, and a count that needs more memory than the
+machine has), 3 verification failure, 141 (the shell's status for SIGPIPE,
+with nothing printed) when stdout is closed early, as by ``| head``.
+Numeric output is printed with 12 significant digits, and a zero as 0,
+never -0.  A config file of key=value lines may supply defaults; flags
+override it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import TYPE_CHECKING
 
 from . import hypkernel
 from .errors import DomainError, IngestError, ParseError, parse_number, read_lines
-from .hypkernel import TubeData
+from .hypkernel import Factor, TubeData
 
 if TYPE_CHECKING:
     from . import census
@@ -36,8 +37,6 @@ __all__ = ["main"]
 
 
 def _fmt(x: float) -> str:
-    if not math.isfinite(x):
-        raise OverflowError(f"a result is {x}, not a finite binary64 value")
     return f"{x + 0.0:.12g}"  # + 0.0 turns -0 into 0
 
 
@@ -86,27 +85,21 @@ def _cmd_estimate(args) -> int:
     v_fill = args.v_fill
     if not (math.isfinite(v_fill) and v_fill > 0.0):
         raise DomainError("v_fill must be positive")
-    where = f" at v_fill {v_fill!r}, length {tube.length!r}, radius {tube.radius!r}"
-    rows = []
-    for name, quantity, arg in (
-        ("tube_volume", hypkernel.tube_volume, tube),
-        ("tube_boundary_area", hypkernel.tube_boundary_area, tube),
-        ("mean_curvature", hypkernel.mean_curvature, tube.radius),
-        ("horocusp_volume", hypkernel.horocusp_volume, tube),
-    ):
-        try:
-            rows.append((name, quantity(arg)))
-        except OverflowError:  # math's, which names no quantity
-            raise _overflow(name, where) from None
-    b, c_o, c_p, v_old, v_perelman = (
-        float(x[0]) for x in hypkernel.drilling_estimates(v_fill, tube.length, tube.radius)
-    )
-    rows += [("B", b), ("C_O", c_o), ("C_P", c_p)]
+    rows = [
+        ("tube_volume", lambda: hypkernel.tube_volume(tube)),
+        ("tube_boundary_area", lambda: hypkernel.tube_boundary_area(tube)),
+        ("mean_curvature", lambda: hypkernel.mean_curvature(tube.radius)),
+        ("horocusp_volume", lambda: hypkernel.horocusp_volume(tube)),
+        ("B", lambda: hypkernel.bound_base_B(v_fill, tube)),
+        ("C_O", lambda: hypkernel.factor_co(tube.radius)),
+        ("C_P", lambda: hypkernel.factor_cp(tube.radius)),
+    ]
+    bound = functools.partial(hypkernel.drilled_volume_bound, v_fill, tube)
     if args.factor in ("old", "both"):
-        rows.append(("V_est_old", v_old))
+        rows.append(("V_est_old", lambda: bound(Factor.OLD)))
     if args.factor in ("perelman", "both"):
-        rows.append(("V_est_perelman", v_perelman))
-    cells = _cells(rows, where)
+        rows.append(("V_est_perelman", lambda: bound(Factor.PERELMAN)))
+    cells = _cells(rows, v_fill=v_fill, length=tube.length, radius=tube.radius)
     if args.csv:
         print(",".join(name for name, _ in cells))
         print(",".join(text for _, text in cells))
@@ -115,22 +108,26 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _overflow(name: str, where: str) -> OverflowError:
-    return OverflowError(f"{name} overflows binary64{where}")
+def _cells(rows, **inputs) -> list[tuple[str, str]]:
+    """Each (name, function) of ``rows`` with its value as text, a str as it
+    is and a number by ``_fmt``.  The functions run in order; one that raises
+    OverflowError is a DomainError naming its row, then ``inputs``, and once
+    all have run so is the first number that is not finite."""
+    values = []
+    for name, function in rows:
+        try:
+            values.append(function())
+        except OverflowError:  # math's and int-to-float's, which name no quantity
+            hypkernel._finite(name, math.inf, **inputs)  # raises
+    return [
+        (name, value if isinstance(value, str) else _fmt(hypkernel._finite(name, value, **inputs)))
+        for (name, _), value in zip(rows, values)
+    ]
 
 
-def _cells(rows, where: str = "") -> list[tuple[str, str]]:
-    """Each (name, value) of ``rows`` with its value formatted, every one
-    before any is printed, so that an error prints no partial table; a value
-    that is not finite is an OverflowError naming it, then ``where``."""
-    for name, value in rows:
-        if not math.isfinite(value):
-            raise _overflow(name, where)
-    return [(name, _fmt(value)) for name, value in rows]
-
-
-def _print_table(cells) -> None:
-    width = max(len(name) for name, _ in cells) + 1
+def _print_table(cells, width: int | None = None) -> None:
+    """Each cell as a ``_line``, by default one wider than the longest name."""
+    width = width or max(len(name) for name, _ in cells) + 1
     for name, text in cells:
         _line(name, text, width)
 
@@ -219,21 +216,24 @@ def _cmd_tube_radius(args) -> int:
     presentation = kleinian.read_presentation(args.presentation)
     result = kleinian.tube_radius_upper_bound(presentation, args.max_word_length)
     core_len = kleinian.complex_length(presentation.core())
-    _line("core word", presentation.core_word)
-    _line("core length", _fmt(core_len.real))
-    _line("core rotation", _fmt(core_len.imag))
+    rows = [
+        ("core word", lambda: presentation.core_word),
+        ("core length", lambda: core_len.real),
+        ("core rotation", lambda: core_len.imag),
+    ]
     if result.witness is None:
-        _line("tube radius", "infinite (no distinct lift found)")
+        rows.append(("tube radius", lambda: "infinite (no distinct lift found)"))
     else:
-        _line("tube radius bound", _fmt(result.radius))
-        _line("witness word", result.witness)
-        if result.radius == 0.0:
-            print(
-                f"warning: the image of the core axis under {result.witness} crosses or "
-                "is asymptotic to it, so the group is not discrete or the geodesic "
-                "is not simple",
-                file=sys.stderr,
-            )
+        rows.append(("tube radius bound", lambda: result.radius))
+        rows.append(("witness word", lambda: result.witness))
+    _print_table(_cells(rows), 18)
+    if result.radius == 0.0:
+        print(
+            f"warning: the image of the core axis under {result.witness} crosses or "
+            "is asymptotic to it, so the group is not discrete or the geodesic "
+            "is not simple",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -243,25 +243,21 @@ def _cmd_surgery(args) -> int:
     profile = surgery.read_profile(args.profile)
     result = surgery.bridgeman_check(profile)
     try:
-        delta_simp = _fmt(surgery.schlafli_delta_v(profile, "simpson"))
+        simpson = surgery.schlafli_delta_v(profile, "simpson")
     except DomainError:
-        delta_simp = "n/a (needs uniform spacing and odd sample count)"
-    final_length = profile.lengths[-1]
-    # every row is computed before the first is printed, so that an error
-    # prints no partial table
+        simpson = "n/a (needs uniform spacing and odd sample count)"
     rows = [
-        ("delta_v trapezoid", _fmt(result.delta_v)),
-        ("delta_v simpson", delta_simp),
-        ("nz_estimate", _fmt(surgery.neumann_zagier_estimate(final_length))),
-        ("monotone", "true" if result.monotone else "false"),
-        ("bound delta_v<=piL", "true" if result.bound_holds else "false"),
-        ("pi_l", _fmt(result.pi_l)),
+        ("delta_v trapezoid", lambda: result.delta_v),
+        ("delta_v simpson", lambda: simpson),
+        ("nz_estimate", lambda: surgery.neumann_zagier_estimate(profile.lengths[-1])),
+        ("monotone", lambda: "true" if result.monotone else "false"),
+        ("bound delta_v<=piL", lambda: "true" if result.bound_holds else "false"),
+        ("pi_l", lambda: result.pi_l),
     ]
     if args.radius is not None:
-        flag = surgery.hodgson_kerckhoff_regime(final_length, args.radius)
-        rows.append(("hk_regime", "true" if flag else "false"))
-    for name, value in rows:
-        _line(name, value)
+        flag = surgery.hodgson_kerckhoff_regime(profile.lengths[-1], args.radius)
+        rows.append(("hk_regime", lambda: "true" if flag else "false"))
+    _print_table(_cells(rows), 18)
     return 0
 
 
@@ -283,23 +279,19 @@ def _cmd_bounds(args) -> int:
     if args.chi is not None:
         if args.gromov_norm is not None:
             data = topobounds.GutsData(args.chi, args.gromov_norm)
-            norm_tier, chi_tier = topobounds.guts_bound_tiers(data)
-            rows.append(("guts_norm_tier", norm_tier))
-            rows.append(("guts_chi_tier", chi_tier))
-            rows.append(("guts_lower_bound", topobounds.guts_lower_bound(data)))
+            rows.append(("guts_norm_tier", lambda: topobounds.haken_double_bound(args.gromov_norm)))
+            rows.append(("guts_chi_tier", lambda: topobounds.miyamoto_lower_bound(args.chi)))
+            rows.append(("guts_lower_bound", lambda: topobounds.guts_lower_bound(data)))
         else:
-            rows.append(("miyamoto_lower_bound", topobounds.miyamoto_lower_bound(args.chi)))
+            rows.append(("miyamoto_lower_bound", lambda: topobounds.miyamoto_lower_bound(args.chi)))
     if args.twist is not None:
-        lower, upper = topobounds.alternating_volume_window(
-            topobounds.AlternatingDiagram(args.twist)
-        )
-        rows.append(("alternating_lower", lower))
-        rows.append(("alternating_upper", upper))
+        diagram = topobounds.AlternatingDiagram(args.twist)
+        rows.append(("alternating_lower", lambda: topobounds.alternating_volume_window(diagram)[0]))
+        rows.append(("alternating_upper", lambda: topobounds.alternating_volume_window(diagram)[1]))
     if args.double_norm is not None:
-        rows.append(("haken_double_bound", topobounds.haken_double_bound(args.double_norm)))
+        rows.append(("haken_double_bound", lambda: topobounds.haken_double_bound(args.double_norm)))
     if args.min_scan is not None:
-        v_cusped, radius, l_max = args.min_scan
-        rows.append(("min_volume_scan", topobounds.min_volume_scan(v_cusped, radius, l_max)))
+        rows.append(("min_volume_scan", lambda: topobounds.min_volume_scan(*args.min_scan)))
     if not rows:
         raise ParseError("supply at least one invariant (see --help)")
     _print_table(_cells(rows))
@@ -418,7 +410,7 @@ def main(argv=None) -> int:
     except (ParseError, IngestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DomainError, OverflowError, FloatingPointError) as exc:
+    except (DomainError, OverflowError) as exc:
         # inputs whose results overflow binary64 are outside the domain too;
         # math's OverflowError carries (errno, message), printed as the message
         print("domain error:", *exc.args[-1:], file=sys.stderr)

@@ -19,7 +19,6 @@ from .errors import DomainError
 
 __all__ = [
     "Factor",
-    "STRICT_FLOATS",
     "TubeData",
     "V3",
     "V8",
@@ -186,40 +185,38 @@ def horocusp_volume(t: TubeData) -> float:
 # estimates C B, so no verdict depends on the path that computed it.  Inputs
 # become contiguous arrays of at least one dimension: numpy rounds sinh, cosh
 # and powers differently on 0-d or non-contiguous input.  No domain checks.
-# Under STRICT_FLOATS (np.errstate here and in array code elsewhere) overflow,
-# division by zero and invalid operations raise rather than yield inf or nan.
-STRICT_FLOATS = dict(over="raise", divide="raise", invalid="raise")
+# Array code runs with numpy's floating-point errors ignored: a result beyond
+# binary64 is inf or nan, which _finite names, here or where it is printed.
 
 
-def _finite(name: str, value: np.ndarray, **inputs) -> np.ndarray:
+def _finite(name: str, value, **inputs):
     """``value``; if an entry is not finite, a DomainError naming the
-    quantity and the ``inputs``, which broadcast to it, at the first one,
+    quantity, then the ``inputs``, which broadcast to it, at the first one,
     whose flat index the error carries as ``index``."""
     finite = np.isfinite(value)
     if not finite.all():
         at = int(np.argmin(finite))
         where = ", ".join(
-            f"{key} {float(np.broadcast_to(x, value.shape).flat[at])!r}" for key, x in inputs.items()
+            f"{key} {float(np.broadcast_to(x, finite.shape).flat[at])!r}" for key, x in inputs.items()
         )
-        error = DomainError(f"{name} overflows binary64 at {where}")
+        error = DomainError(f"{name} overflows binary64" + (f" at {where}" if where else ""))
         error.index = at
         raise error
     return value
 
 
-@np.errstate(**STRICT_FLOATS)
+@np.errstate(all="ignore")
 def drilling_factors(radius) -> tuple[np.ndarray, np.ndarray]:
     """C_O = (coth R coth 2R)^(3/2) and C_P = coth(2R)^3 over an array of R.
     A factor that overflows binary64 is a DomainError naming it and the
     first radius where it does."""
     radius = np.ascontiguousarray(radius, dtype=np.float64)
     tanh_r, tanh_2r = np.tanh(radius), np.tanh(2.0 * radius)
-    with np.errstate(over="ignore", divide="ignore"):
-        c_o, c_p = (1.0 / (tanh_r * tanh_2r)) ** 1.5, (1.0 / tanh_2r) ** 3
+    c_o, c_p = (1.0 / (tanh_r * tanh_2r)) ** 1.5, (1.0 / tanh_2r) ** 3
     return _finite("C_O", c_o, radius=radius), _finite("C_P", c_p, radius=radius)
 
 
-@np.errstate(**STRICT_FLOATS)
+@np.errstate(all="ignore")
 def drilling_terms(v_fill, length, radius) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """B = v_fill + pi L sinh(R)^2 sech(2R) over broadcast arrays, then C_O
     and C_P as drilling_factors(radius); with v_fill = 0, B is the tube term.
@@ -228,24 +225,19 @@ def drilling_terms(v_fill, length, radius) -> tuple[np.ndarray, np.ndarray, np.n
     v_fill, length, radius = (
         np.ascontiguousarray(x, dtype=np.float64) for x in (v_fill, length, radius)
     )
-    # an overflowing sinh(R)^2 over an overflowing cosh(2R) is inf / inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        b = v_fill + np.pi * length * np.sinh(radius) ** 2 / np.cosh(2.0 * radius)
-    b = _finite("B", b, v_fill=v_fill, length=length, radius=radius)
-    return (b, *drilling_factors(radius))
+    b = v_fill + np.pi * length * np.sinh(radius) ** 2 / np.cosh(2.0 * radius)
+    return (_finite("B", b, v_fill=v_fill, length=length, radius=radius), *drilling_factors(radius))
 
 
-@np.errstate(**STRICT_FLOATS)
+@np.errstate(all="ignore")
 def drilling_estimates(v_fill, length, radius) -> tuple[np.ndarray, ...]:
     """B, C_O and C_P as drilling_terms, then the estimates C_O B and C_P B;
     where one overflows binary64, a DomainError names it and the first such
     record."""
     b, c_o, c_p = drilling_terms(v_fill, length, radius)
     record = dict(v_fill=v_fill, length=length, radius=radius)
-    with np.errstate(over="ignore"):
-        v_old, v_perelman = c_o * b, c_p * b
-    v_old = _finite("V_est_old", v_old, **record)
-    return b, c_o, c_p, v_old, _finite("V_est_perelman", v_perelman, **record)
+    v_old = _finite("V_est_old", c_o * b, **record)
+    return b, c_o, c_p, v_old, _finite("V_est_perelman", c_p * b, **record)
 
 
 def bound_base_B(v_fill: float, t: TubeData) -> float:

@@ -23,7 +23,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, NonLoxodromicError, ParseError, parse_number, read_lines
-from .hypkernel import STRICT_FLOATS
 
 __all__ = [
     "ComplexDistance",
@@ -416,8 +415,11 @@ def _word_keys(words: np.ndarray) -> np.ndarray:
     """One key per matrix of an (n, 2, 2) stack of products of
     determinant-1 letters, as an (n, 8) uint64 array: the 8 real parts of
     the entries rounded to _KEY_DIGITS, negated if the first nonzero one is
-    negative, so that M and -M share a key.  Equal keys have equal bits."""
+    negative, so that M and -M share a key.  Equal keys have equal bits; a
+    key that rounding overflows (an entry above about 1e299) is a DomainError."""
     keys = np.round(words.reshape(-1, 4).view(np.float64), _KEY_DIGITS)
+    if not np.isfinite(keys).all():
+        raise DomainError("tube_radius_upper_bound: word entries overflow")
     first = keys[np.arange(len(keys)), np.argmax(keys != 0, axis=1)]
     np.negative(keys, out=keys, where=(first < 0)[:, None])
     keys += 0.0  # turns -0.0 into 0.0
@@ -573,8 +575,6 @@ def _word_levels(g: GroupPresentation, max_length: int):
                 kept = ~at_core
                 parent, letter, rows, at_core = (x[kept] for x in (parent, letter, rows, at_core))
             words = frontier[parent] @ letter_matrices[letter]
-            if not np.isfinite(words).all():
-                raise DomainError("tube_radius_upper_bound: word entries overflow")
             keys = _word_keys(words)
             hashes = _key_hashes(keys)
             new, (_, at) = _new_rows(
@@ -612,7 +612,7 @@ class TubeRadiusResult(NamedTuple):
     witness: str | None
 
 
-@np.errstate(**STRICT_FLOATS)
+@np.errstate(all="ignore")
 def tube_radius_upper_bound(
     g: GroupPresentation, max_word_length: int
 ) -> TubeRadiusResult:
@@ -644,6 +644,8 @@ def tube_radius_upper_bound(
         moved = np.flatnonzero(~(fixes | at_core))
         if len(moved):
             d = np.maximum(_axis_distance(words[moved]).real, 0.0)
+            if not np.isfinite(d).all():  # bc overflows, as ad does: ad - bc = 1
+                raise DomainError("tube_radius_upper_bound: word entries overflow")
             j = int(np.argmin(d))
             if d[j] < best_d:
                 best_d = float(d[j])

@@ -15,7 +15,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DomainError, ParseError, parse_number, read_lines
-from .hypkernel import STRICT_FLOATS
 
 __all__ = [
     "BridgemanResult",
@@ -74,14 +73,14 @@ class ConeProfile:
         return cls(tuple(angles), tuple(func(a) for a in angles))
 
 
-@np.errstate(**STRICT_FLOATS)
+@np.errstate(all="ignore")
 def schlafli_delta_v(p: ConeProfile, method: str = "trapezoid") -> float:
     """Volume increase under drilling: half the integral of the core length
     over cone angles in [0, 2*pi], by composite quadrature of the samples.
 
     ``trapezoid`` accepts any profile and is exact for piecewise-linear
     ones; ``simpson`` requires an odd count of uniformly spaced samples and
-    is exact through quadratics.
+    is exact through quadratics.  A sum beyond binary64 gives inf.
     """
     angles = np.asarray(p.angles)
     lengths = np.asarray(p.lengths)
@@ -122,7 +121,7 @@ def bridgeman_check(p: ConeProfile) -> BridgemanResult:
     The bound delta_v <= pi * L(2*pi) is a consequence of the integral
     formula whenever the profile is monotone nondecreasing; the comparison
     carries a 1e-12 relative slack so quadrature roundoff cannot break that
-    implication on sampled data.
+    implication on sampled data.  delta_v or pi_l beyond binary64 is inf.
     """
     delta_v = schlafli_delta_v(p, "trapezoid")
     pi_l = math.pi * p.lengths[-1]

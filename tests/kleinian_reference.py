@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from tubevol.errors import DomainError
-from tubevol.hypkernel import STRICT_FLOATS
 from tubevol.kleinian import (
     _ALPHABET,
     _FIXES_AXIS_TOL,
@@ -28,6 +27,9 @@ from tubevol.kleinian import (
     _to_zero_infinity,
     axis,
 )
+
+# the floating-point errors the search raised on when it was written
+STRICT_FLOATS = dict(over="raise", divide="raise", invalid="raise")
 
 
 def _points_on_line(line: GeodesicLine, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

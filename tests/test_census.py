@@ -1,12 +1,14 @@
 import math
 import os
 import pathlib
+import re
 import tempfile
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from tubevol import census, errors
@@ -375,6 +377,45 @@ class TestStatistics:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             statistics(evaluate(table()))
+
+
+# positive finite floats of every decimal exponent from -320 (subnormal) to 308
+EXTREME = st.builds(
+    lambda mantissa, exponent: float(f"{mantissa!r}e{exponent}"),
+    st.floats(min_value=1.0, max_value=10.0, exclude_max=True),
+    st.integers(min_value=-320, max_value=308),
+).filter(lambda x: 0.0 < x < math.inf)
+
+
+class TestExtremeRecords:
+    @given(st.lists(st.tuples(EXTREME, EXTREME, EXTREME, EXTREME), min_size=1, max_size=4))
+    @example(rows=[(1.0, 1.7e308, 1.0, 1.0)] * 4)  # the mean of dv / (pi L) overflows
+    @example(rows=[(1.0, 1.7e308, 1.0, 1.0), (1.0, 2.0, 1.0, 1.0)])  # and the deviation
+    @example(rows=[(1e-300, 2e-300, 1e300, 1.0)])  # (V_est - v_drill) / delta_v overflows
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    def test_finite_columns_or_a_named_record(self, rows):
+        # each record as ingest accepts it: 0 < v_fill < v_drill, L, R > 0
+        rows = [(f"r{i}", *sorted(row[:2]), *row[2:]) for i, row in enumerate(rows)]
+        assume(all(v_fill < v_drill for _, v_fill, v_drill, _, _ in rows))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning fails, as would FloatingPointError
+            try:
+                reports = evaluate(table(*rows))
+            except DomainError as exc:
+                # the record named, at the values of that record
+                named = re.fullmatch(r"name 'r(\d)': \w+ overflows binary64 at (.*)", str(exc))
+                record = dict(zip(INPUT_COLUMNS, rows[int(named[1])][1:]))
+                for key, value in (pair.split(" ") for pair in named[2].split(", ")):
+                    assert float(value) == record[key]
+                return
+            for key, column in reports.columns.items():
+                assert column.dtype == bool or np.isfinite(column).all(), key
+            try:
+                stats = statistics(reports)
+            except DomainError as exc:
+                assert re.fullmatch(r"(mean|std) dv/\(pi L\) overflows binary64", str(exc))
+                return
+        assert math.isfinite(stats.mean_ratio) and math.isfinite(stats.std_ratio)
 
 
 class TestFigureSeries:

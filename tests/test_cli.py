@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from unittest import mock
@@ -726,7 +727,7 @@ class TestTubeRadius:
         assert table_value(out, "witness") == "b"
         code, out, err = run(capsys, "tube-radius", str(path), "--max-word-length", "4")
         assert (code, out) == (2, "")
-        assert err == "domain error: overflow encountered in matmul\n"
+        assert err == "domain error: tube_radius_upper_bound: word entries overflow\n"
 
     @pytest.mark.parametrize(
         "text, where",
@@ -1174,15 +1175,19 @@ def test_tests_need_no_scipy():
 
 
 # 10^15 float64 values are 7 PiB, beyond the address space, so the
-# allocation fails whatever the overcommit policy is
+# allocation fails whatever the overcommit policy is; 10^19 and 10^400 are
+# beyond the largest array numpy can index, where it fails before allocating
 @pytest.mark.parametrize(
     "argv",
     [
-        ["figures", "SAMPLE", "OUT", "--curve-points", "1000000000000000"],
-        ["figures", "SAMPLE", "OUT", "--bins", "1000000000000000"],
-        ["synthesize", "1000000000000000", "1", "OUT"],
+        pytest.param(argv, id=kind + suffix)
+        for suffix, count in (("", str(10**15)), ("-1e19", str(10**19)), ("-1e400", str(10**400)))
+        for kind, argv in (
+            ("curve-points", ["figures", "SAMPLE", "OUT", "--curve-points", count]),
+            ("bins", ["figures", "SAMPLE", "OUT", "--bins", count]),
+            ("synthesize", ["synthesize", count, "1", "OUT"]),
+        )
     ],
-    ids=["curve-points", "bins", "synthesize"],
 )
 def test_count_beyond_memory_is_domain_error(capsys, tmp_path, data_dir, argv):
     out = tmp_path / "out"
@@ -1192,3 +1197,125 @@ def test_count_beyond_memory_is_domain_error(capsys, tmp_path, data_dir, argv):
     assert len(err.splitlines()) == 1
     assert "out of memory" in err and "Traceback" not in err
     assert not out.exists()
+
+
+HEADER = "name,v_fill,v_drill,length,radius\n"
+TAU = repr(2.0 * math.pi)
+
+
+# each input whose result is not a finite binary64 value, with the one line
+# that names it; each once printed numpy's floating-point error text instead
+@pytest.mark.parametrize(
+    "argv, text, error",
+    [
+        # delta_v is 1e-300, so (V_est - v_drill) / delta_v overflows
+        pytest.param(
+            ["verify", "IN", "--report", "OUT/r.csv"],
+            HEADER + "x,1e-300,2e-300,1e300,1\n",
+            "name 'x': overshoot_old overflows binary64 at v_fill 1e-300, v_drill 2e-300, "
+            "length 1e+300, radius 1.0",
+            id="verify-overshoot_old",
+        ),
+        pytest.param(
+            ["figures", "IN", "OUT/figs"],
+            HEADER + "m0,1,2,1,1\nx,1e-300,2e-300,1e300,1\n",
+            "name 'x': overshoot_old overflows binary64 at v_fill 1e-300, v_drill 2e-300, "
+            "length 1e+300, radius 1.0",
+            id="figures-overshoot_old",
+        ),
+        # pi L is subnormal
+        pytest.param(
+            ["verify", "IN", "--report", "OUT/r.csv"],
+            HEADER + "x,1,2,1e-320,1\n",
+            "name 'x': dv_over_pi_l overflows binary64 at v_fill 1.0, v_drill 2.0, "
+            "length 1e-320, radius 1.0",
+            id="verify-dv_over_pi_l",
+        ),
+        pytest.param(
+            ["figures", "IN", "OUT/figs"],
+            HEADER + "x,1,2,1e-320,1\n",
+            "name 'x': dv_over_pi_l overflows binary64 at v_fill 1.0, v_drill 2.0, "
+            "length 1e-320, radius 1.0",
+            id="figures-dv_over_pi_l",
+        ),
+        # four ratios of 5.4e307 sum beyond binary64
+        pytest.param(
+            ["verify", "IN", "--report", "OUT/r.csv"],
+            HEADER + "".join(f"r{i},1,1.7e308,1,1\n" for i in range(4)),
+            "mean dv/(pi L) overflows binary64",
+            id="verify-mean",
+        ),
+        pytest.param(
+            ["verify", "IN", "--report", "OUT/r.csv"],
+            HEADER + "a,1,1.7e308,1,1\nb,1,2,1,1\n",
+            "std dv/(pi L) overflows binary64",
+            id="verify-std",
+        ),
+        pytest.param(
+            ["surgery", "IN"],
+            f"0,1e308\n{math.pi!r},1e308\n{TAU},1e308\n",
+            "delta_v trapezoid overflows binary64",
+            id="surgery-trapezoid",
+        ),
+        # the trapezoid sum is finite and Simpson's weight 4 is not: the row
+        # names the overflow, not "n/a"
+        pytest.param(
+            ["surgery", "IN"],
+            f"0,0\n{math.pi!r},5e307\n{TAU},1e-300\n",
+            "delta_v simpson overflows binary64",
+            id="surgery-simpson",
+        ),
+        pytest.param(
+            ["surgery", "IN", "--radius", "1"],
+            f"0,0\n6.283185306,1\n{TAU},1e308\n",
+            "pi_l overflows binary64",
+            id="surgery-pi_l",
+        ),
+        # the key of a^2 b rounds 1e300 to 9 decimals, beyond binary64
+        pytest.param(
+            ["tube-radius", "IN", "--max-word-length", "4"],
+            "1e100 0 0 0 0 0 1e-100 0\n2 0 1 0 1 0 1 0\ncore: a\n",
+            "tube_radius_upper_bound: word entries overflow",
+            id="tube-radius-keys",
+        ),
+        # baab has entries near 4e160, finite keys, and bc beyond binary64
+        pytest.param(
+            ["tube-radius", "IN", "--max-word-length", "4"],
+            "1e80 0 0 0 0 0 1e-80 0\n2 0 1 0 1 0 1 0\ncore: a\n",
+            "tube_radius_upper_bound: word entries overflow",
+            id="tube-radius-distance",
+        ),
+        # the trace squared overflows, so the core length is nan
+        pytest.param(
+            ["tube-radius", "IN", "--max-word-length", "1"],
+            "1e160 0 0 0 0 0 1e-160 0\n2 0 1 0 1 0 1 0\ncore: a\n",
+            "core length overflows binary64",
+            id="tube-radius-core-length",
+        ),
+        pytest.param(
+            ["bounds", "--chi", "-1" + "0" * 400], None, "miyamoto_lower_bound overflows binary64",
+            id="bounds-chi",
+        ),
+        pytest.param(
+            ["bounds", "--twist", "1" + "0" * 400], None, "alternating_lower overflows binary64",
+            id="bounds-twist",
+        ),
+        pytest.param(
+            ["bounds", "--chi", "-1" + "0" * 400, "--gromov-norm", "1"],
+            None,
+            "guts_chi_tier overflows binary64",
+            id="bounds-guts",
+        ),
+    ],
+)
+def test_non_finite_result_is_named(capsys, tmp_path, argv, text, error):
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [str(path) if a == "IN" else a.replace("OUT", str(out)) for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(capsys, *argv) == (2, "", f"domain error: {error}\n")
+    assert not any(out.iterdir())  # no report and no figure
